@@ -78,6 +78,7 @@ def cmd_simulate(args):
     lines = _manifest_header("simulate", scenario.values)
     lines.append(f"config_file = {path}")
     lines.append(f"stamps = {len(traj.stamps)}")
+    lines.append(f"spiky_steps = {traj.spiky_steps}")
     lines.append(f"sup_trace_max = {fmt15(np.max(traj.sup_trace))}")
     lines.append(f"blown_up = {traj.blown_up}")
     if traj.blowup_time is not None:

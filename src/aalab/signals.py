@@ -113,14 +113,19 @@ def level_half_width(level):
     return 0.5 / (level * level)
 
 
+def _level_index_range(level, lo, hi):
+    """First and last k with the center 3^level (2k + 1) in [lo, hi]
+    (elementwise for arrays; an empty range has last < first)."""
+    base = 3.0 ** level
+    return np.ceil((lo / base - 1.0) / 2.0), np.floor((hi / base - 1.0) / 2.0)
+
+
 def level_centers(level, lo, hi):
     """All bump centers of a level inside [lo, hi] (odd multiples of 3^level)."""
-    base = 3.0 ** level
-    k_lo = int(np.ceil((lo / base - 1.0) / 2.0))
-    k_hi = int(np.floor((hi / base - 1.0) / 2.0))
+    k_lo, k_hi = _level_index_range(level, lo, hi)
     if k_hi < k_lo:
         return np.empty(0)
-    return base * (2.0 * np.arange(k_lo, k_hi + 1) + 1.0)
+    return 3.0 ** level * (2.0 * np.arange(int(k_lo), int(k_hi) + 1) + 1.0)
 
 
 def spike_level_value(spec, level, t):
@@ -171,6 +176,19 @@ def spike_train_breakpoints(spec, lo, hi, max_level=None):
     return np.concatenate(pts)
 
 
+def spike_train_has_breakpoints(spec, lo, hi):
+    """Elementwise: whether ``spike_train_breakpoints(spec, lo, hi)`` is nonempty,
+    i.e. whether some bump's support meets [lo, hi]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    hit = np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
+    for level in range(1, spec.n_max + 1):
+        w = level_half_width(level)
+        k_lo, k_hi = _level_index_range(level, lo - w, hi + w)
+        hit |= k_hi >= k_lo
+    return hit
+
+
 def reciprocal_sine_value(t):
     """sin(1 / (2 + cos t + cos(sqrt(2) t))); bounded by 1, never uniformly
     continuous because the denominator comes arbitrarily close to 0."""
@@ -204,6 +222,11 @@ class Signal:
     def breakpoints(self, lo, hi):
         return np.empty(0)
 
+    def has_breakpoints(self, lo, hi):
+        """Per interval [lo[i], hi[i]]: whether ``breakpoints`` reports any point."""
+        return np.array([self.breakpoints(a, b).size > 0 for a, b in zip(lo, hi)],
+                        dtype=bool)
+
     def require_span(self, lo, hi):
         if lo < self.span[0] or hi > self.span[1]:
             raise SpanError(
@@ -231,6 +254,11 @@ class FunctionSignal(Signal):
         if self._breakpoint_fn is None:
             return np.empty(0)
         return np.asarray(self._breakpoint_fn(lo, hi), dtype=float)
+
+    def has_breakpoints(self, lo, hi):
+        if self._breakpoint_fn is None:
+            return np.zeros(np.shape(lo), dtype=bool)
+        return super().has_breakpoints(lo, hi)
 
 
 class SampledSignal(Signal):
@@ -295,6 +323,9 @@ class SpikeTrainSignal(Signal):
 
     def breakpoints(self, lo, hi):
         return spike_train_breakpoints(self.spec, lo, hi)
+
+    def has_breakpoints(self, lo, hi):
+        return spike_train_has_breakpoints(self.spec, lo, hi)
 
 
 class SpikeLevelSignal(Signal):

@@ -16,6 +16,14 @@ can be observed, not assumed.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
+
+The forcing half of the step integral does not depend on the state, so it is
+computed ahead of the steps that use it, FORCING_BLOCK steps at a time: one
+breakpoint query and one forcing evaluation per block, contracted against the
+cached quadrature factors.  ``Stepper.forcing_steps`` is the only place the
+forcing is integrated; the march, single steps and the mild-solution residual
+all take their forcing terms from it, bit-identical to integrating each step
+on its own.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +37,12 @@ from .signals import (FunctionSignal, SpikeTrainSignal, StepanovConfig,
                       constant_signal, reciprocal_sine_signal, stepanov_norm)
 from .spectral import Field, SpectralBasis, field_from_function, load_field_csv, save_field_csv
 from .util import fmt15
+
+
+#: Steps whose forcing terms are computed together.  It bounds the node and
+#: contraction buffers (0.5 MB each at 64 modes and 8 nodes) whatever the
+#: horizon, and is large enough that per-call overhead is negligible.
+FORCING_BLOCK = 128
 
 
 class NonContractionError(RuntimeError):
@@ -157,10 +171,6 @@ class ForcingSpec:
                    spiky=SpikeTrainSignal(spike_spec),
                    boundary_mode=boundary_mode)
 
-    @classmethod
-    def constant(cls, basis, value, profile):
-        return cls(basis, profile=profile, bounded=constant_signal(value))
-
     # evaluation -----------------------------------------------------------
 
     @property
@@ -193,6 +203,14 @@ class ForcingSpec:
             if sig is not None:
                 pts.append(np.asarray(sig.breakpoints(lo, hi), dtype=float))
         return np.concatenate(pts) if pts else np.empty(0)
+
+    def has_breakpoints(self, lo, hi):
+        """Per interval [lo[i], hi[i]]: whether ``breakpoints`` reports any point."""
+        hit = np.zeros(np.shape(lo), dtype=bool)
+        for sig in (self.bounded, self.spiky):
+            if sig is not None:
+                hit |= sig.has_breakpoints(lo, hi)
+        return hit
 
     def sup_signal(self):
         """The scalar signal t -> sup-norm of H(t), for windowed norms."""
@@ -239,7 +257,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """A solved path: stamps, mode coefficients, sup-norm trace, step metadata."""
+    """A solved path: stamps, mode coefficients, sup-norm trace, step metadata.
+
+    ``spiky`` marks the steps whose forcing reported breakpoints, and which
+    were therefore integrated on their own subdivided quadrature layout.
+    """
 
     basis: SpectralBasis
     stamps: np.ndarray
@@ -248,6 +270,7 @@ class Trajectory:
     picard_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     blown_up: bool = False
     blowup_time: float | None = None
+    spiky: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
 
     def __post_init__(self):
         if np.any(np.diff(self.stamps) <= 0):
@@ -255,6 +278,10 @@ class Trajectory:
 
     def __len__(self):
         return len(self.stamps)
+
+    @property
+    def spiky_steps(self):
+        return int(np.count_nonzero(self.spiky))
 
     @property
     def dt(self):
@@ -275,9 +302,10 @@ class Trajectory:
         mask = (self.stamps >= t0 - 1e-12) & (self.stamps <= t1 + 1e-12)
         idx = np.nonzero(mask)[0]
         counts = self.picard_counts[idx[0]:idx[-1]] if self.picard_counts.size else self.picard_counts
+        spiky = self.spiky[idx[0]:idx[-1]] if self.spiky.size else self.spiky
         return Trajectory(self.basis, self.stamps[mask], self.coeffs[mask],
                           self.sup_trace[mask], counts,
-                          self.blown_up, self.blowup_time)
+                          self.blown_up, self.blowup_time, spiky)
 
     def as_signal(self, name="trajectory"):
         from .signals import SampledSignal
@@ -307,23 +335,73 @@ class Stepper:
         self._default_D = np.exp(-np.outer(self.lam, dt - rel))
         self._default_S = self._default_D @ self._default_w
 
-    def _layout(self, t, dt):
-        """Quadrature nodes for [t, t + dt]; cached layout when spike-free."""
-        bps = self.forcing.breakpoints(t, t + dt)
-        if bps.size == 0 and dt == self.config.dt:
-            return self._default_rel, self._default_w, self._default_D, self._default_S
-        pts, wts = quadrature_nodes(t, t + dt, bps, self.config.forcing_nodes)
-        rel = pts - t
-        D = np.exp(-np.outer(self.lam, dt - rel))
-        return rel, wts, D, D @ wts
+    def forcing_steps(self, starts, gaps):
+        """Forcing integrals of the steps [starts[j], starts[j] + gaps[j]], in order.
+
+        Yields one (spiky, term, layout) triple per step: ``layout`` holds the
+        quadrature factors (rel, wts, D, S) of the step, ``term`` is
+        (D * H(t + rel)) @ wts, the forcing part of the step integral (0.0
+        for a zero forcing), and ``spiky`` tells whether the forcing reported
+        breakpoints on the step, which then gets its own subdivided layout.
+        Steps are computed FORCING_BLOCK at a time, so a consumer that stops
+        early wastes at most one block.
+        """
+        starts = np.asarray(starts, dtype=float)
+        gaps = np.broadcast_to(np.asarray(gaps, dtype=float), starts.shape)
+        for b0 in range(0, starts.size, FORCING_BLOCK):
+            block = slice(b0, b0 + FORCING_BLOCK)
+            yield from self._forcing_block(starts[block], gaps[block])
+
+    def _forcing_block(self, starts, gaps):
+        cfg = self.config
+        ends = starts + gaps
+        zero = self.forcing.is_zero
+        spiky = (np.zeros(starts.size, dtype=bool) if zero
+                 else self.forcing.has_breakpoints(starts, ends))
+        bps = self.forcing.breakpoints(starts[0], ends[-1]) if spiky.any() else np.empty(0)
+        own_layout = spiky | (gaps != cfg.dt)
+        own, smooth = np.flatnonzero(own_layout), np.flatnonzero(~own_layout)
+        layouts = [(self._default_rel, self._default_w, self._default_D, self._default_S)] * starts.size
+        for j in own:
+            # quadrature_nodes keeps only the breakpoints inside the step
+            pts, wts = quadrature_nodes(starts[j], ends[j], bps if spiky[j] else (),
+                                        cfg.forcing_nodes)
+            rel = pts - starts[j]
+            D = np.exp(-np.outer(self.lam, gaps[j] - rel))
+            layouts[j] = (rel, wts, D, D @ wts)
+        if zero:
+            for j in range(starts.size):
+                yield spiky[j], 0.0, layouts[j]
+            return
+        q = self._default_rel.size
+        F = self.forcing.mode_values(np.concatenate(
+            [(starts[smooth, None] + self._default_rel).ravel()]
+            + [starts[j] + layouts[j][0] for j in own]))
+        # Smooth steps: one (K, q) @ (q,) product per step, stacked, exactly
+        # the product a step integrated on its own would form.
+        K, n = self.basis.modes, smooth.size
+        weighted = np.empty((n, K, q))
+        np.multiply(self._default_D, F[:, :n * q].reshape(K, n, q).transpose(1, 0, 2),
+                    out=weighted)
+        terms = np.empty((starts.size, K))
+        terms[smooth] = weighted @ self._default_w
+        col = n * q
+        for j in own:
+            rel, wts, D, _ = layouts[j]
+            terms[j] = (D * F[:, col:col + rel.size]) @ wts
+            col += rel.size
+        for j in range(starts.size):
+            yield spiky[j], terms[j], layouts[j]
 
     def _g_modes(self, values):
         return self.dealias * (self.P @ self.g.fn(values))
 
-    def step(self, coeffs, t, dt=None, collect_distances=False):
+    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None):
         """One Picard-refined step from (t, coeffs) to t + dt.
 
-        Returns (new_coeffs, iterations, distances); ``iterations`` counts
+        ``prepared`` is the triple ``forcing_steps`` yields for this step;
+        without it the step is integrated as a block of one.  Returns
+        (new_coeffs, iterations, distances); ``iterations`` counts
         refinement applications after the initial frozen one, and
         ``distances`` the successive-iterate sup distances (empty unless
         requested).
@@ -332,11 +410,11 @@ class Stepper:
         dt = cfg.dt if dt is None else float(dt)
         if dt > cfg.dt * (1.0 + 1e-12):
             raise ValueError("step dt exceeds the configured dt")
-        rel, wts, D, S = self._layout(t, dt)
+        if prepared is None:
+            prepared = next(self.forcing_steps([t], [dt]))
+        _, term, (rel, wts, D, S) = prepared
         decay = self.decay_dt if dt == cfg.dt else np.exp(-self.lam * dt)
-
-        F = self.forcing.mode_values(t + rel) if not self.forcing.is_zero else None
-        base = decay * coeffs + ((D * F) @ wts if F is not None else 0.0)
+        base = decay * coeffs + term
 
         vx = coeffs @ self.E
         radius = float(np.max(np.abs(vx)))
@@ -374,11 +452,9 @@ class Stepper:
         """Single application with the profile frozen at the incoming state."""
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
-        rel, wts, D, S = self._layout(t, dt)
+        _, term, (_, _, _, S) = next(self.forcing_steps([t], [dt]))
         decay = self.decay_dt if dt == cfg.dt else np.exp(-self.lam * dt)
-        F = self.forcing.mode_values(t + rel) if not self.forcing.is_zero else None
-        base = decay * coeffs + ((D * F) @ wts if F is not None else 0.0)
-        return base + S * self._g_modes(coeffs @ self.E)
+        return decay * coeffs + term + S * self._g_modes(coeffs @ self.E)
 
     def _check_contraction(self, t, radius, dt):
         factor = self.g.lipschitz(radius) * dt  # M = 1 for this semigroup
@@ -395,10 +471,8 @@ def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
     frozen = x if iterate is None else iterate
-    rel, wts, D, S = stepper._layout(t, dt)
-    decay = np.exp(-stepper.lam * dt)
-    F = stepper.forcing.mode_values(t + rel) if not stepper.forcing.is_zero else None
-    base = decay * x.coeffs + ((D * F) @ wts if F is not None else 0.0)
+    _, term, (_, _, _, S) = next(stepper.forcing_steps([t], [dt]))
+    base = np.exp(-stepper.lam * dt) * x.coeffs + term
     out = base + S * stepper._g_modes(frozen.values)
     return Field(x.basis, coeffs=out)
 
@@ -428,13 +502,15 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     coeffs = np.empty((n_steps + 1, x0.basis.modes))
     sup_trace = np.empty(n_steps + 1)
     counts = np.zeros(n_steps, dtype=int)
+    spiky = np.zeros(n_steps, dtype=bool)
     coeffs[0] = x0.coeffs
     sup_trace[0] = x0.sup_norm()
     blown_up = False
     blowup_time = None
     last = n_steps
-    for j in range(n_steps):
-        coeffs[j + 1], counts[j], _ = stepper.step(coeffs[j], stamps[j])
+    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt)):
+        spiky[j] = prepared[0]
+        coeffs[j + 1], counts[j], _ = stepper.step(coeffs[j], stamps[j], prepared=prepared)
         sup_trace[j + 1] = float(np.max(np.abs(coeffs[j + 1] @ stepper.E)))
         if sup_trace[j + 1] > config.blowup_cap:
             blown_up = True
@@ -443,7 +519,7 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
             break
     sl = slice(0, last + 1)
     return Trajectory(x0.basis, stamps[sl], coeffs[sl], sup_trace[sl],
-                      counts[:last], blown_up, blowup_time)
+                      counts[:last], blown_up, blowup_time, spiky[:last])
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +630,10 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
     config = config if config is not None else SolverConfig(dt=traj.dt)
     stepper = Stepper(traj.basis, nonlinearity, forcing, config)
     c = traj.coeffs[i_from].copy()
-    for j in range(i_from, i_to):
-        t = traj.stamps[j]
-        dt = traj.stamps[j + 1] - traj.stamps[j]
-        rel, wts, D, S = stepper._layout(t, dt)
-        decay = np.exp(-stepper.lam * dt)
-        F = stepper.forcing.mode_values(t + rel) if not stepper.forcing.is_zero else None
-        base = decay * c + ((D * F) @ wts if F is not None else 0.0)
+    gaps = np.diff(traj.stamps[i_from:i_to + 1])
+    steps = stepper.forcing_steps(traj.stamps[i_from:i_to], gaps)
+    for j, dt, (_, term, (rel, wts, D, S)) in zip(range(i_from, i_to), gaps, steps):
+        base = np.exp(-stepper.lam * dt) * c + term
         vx = traj.coeffs[j] @ stepper.E
         vy = traj.coeffs[j + 1] @ stepper.E
         if config.order2:

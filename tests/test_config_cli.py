@@ -153,6 +153,21 @@ def test_simulate_reference_scenario_smoke(tmp_path, capsys, monkeypatch):
     assert not traj.blown_up
 
 
+def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
+    # T = 2.6 reaches into the level-1 bump on [2.5, 3.5]
+    monkeypatch.setenv("AALAB_SOLVER__T", "2.6")
+    out_dir = tmp_path / "ref"
+    code, _, _ = run_cli(["simulate", "--config", "reference", "--out", str(out_dir)], capsys)
+    assert code == 0
+    scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("reference"))
+    forcing = scenario.forcing(scenario.basis())
+    dt = scenario.solver_config().dt
+    expected = sum(forcing.breakpoints(t, t + dt).size > 0 for t in dt * np.arange(2600))
+    assert 0 < expected < 2600
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
+    assert f"spiky_steps = {expected}" in manifest
+
+
 def test_simulate_blowup_exit_code(tmp_path, capsys):
     out_dir = str(tmp_path / "blow")
     code, out, _ = run_cli(["simulate", "--config", "blowup", "--out", out_dir], capsys)
