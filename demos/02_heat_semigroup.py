@@ -5,18 +5,18 @@ Run:  python3 demos/02_heat_semigroup.py
 
 import numpy as np
 
-from aalab.spectral import (Field, apply_semigroup, assemble_basis,
+from aalab.spectral import (Field, SpectralBasis, apply_semigroup,
                             decay_bound_check, field_from_function, mode_field,
-                            spectral_tail_mass, sup_norm, to_spectral)
+                            spectral_tail_mass)
 
-basis = assemble_basis(length=1.0, modes=16, grid=128)
+basis = SpectralBasis(length=1.0, modes=16, grid=128)
 print("== spectrum ==")
 print(f"lambda_1 = {basis.lambda1:.10f}  (pi^2 = {np.pi**2:.10f})")
 print(f"lambda_k grows like (k pi / L)^2; lambda_16 = {basis.eigenvalues[-1]:.1f}")
 
 print("\n== transform round trip ==")
 f = field_from_function(basis, lambda x: np.sin(np.pi * x) + 0.5 * np.sin(2 * np.pi * x))
-c = to_spectral(f)
+c = f.coeffs
 print(f"coefficients of sin(pi x) + 0.5 sin(2 pi x): "
       f"({c[0]:.6f}, {c[1]:.6f}, ...) = (1, 0.5)/sqrt(2)")
 print(f"boundary values after synthesis: {f.values[0]}, {f.values[-1]} (exact zeros)")

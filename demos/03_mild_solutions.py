@@ -7,12 +7,12 @@ Run:  python3 demos/03_mild_solutions.py
 import numpy as np
 
 from aalab.signals import SpikeTrainSpec, constant_signal
-from aalab.spectral import Field, assemble_basis, field_from_function, mode_field
+from aalab.spectral import Field, SpectralBasis, field_from_function, mode_field
 from aalab.solver import (ForcingSpec, SolverConfig, global_bound_estimate,
                           make_nonlinearity, reference_initial_field, solve,
                           step_picard)
 
-basis = assemble_basis(length=1.0, modes=16, grid=64)
+basis = SpectralBasis(length=1.0, modes=16, grid=64)
 zero = make_nonlinearity("zero")
 cubic = make_nonlinearity("cubic")
 lam1 = basis.lambda1

@@ -15,9 +15,9 @@ from aalab.solver import (ForcingSpec, SolverConfig, Trajectory,
                           holder_increment_bound, make_nonlinearity,
                           reference_initial_field, semigroup_gap, solve,
                           translation_extension)
-from aalab.spectral import assemble_basis, field_from_function
+from aalab.spectral import SpectralBasis, field_from_function
 
-basis = assemble_basis(length=1.0, modes=32, grid=128)
+basis = SpectralBasis(length=1.0, modes=32, grid=128)
 h0 = field_from_function(basis, lambda x: np.sin(np.pi * x))
 forcing = ForcingSpec.reference(basis, h0, SpikeTrainSpec(n_max=4))
 cubic = make_nonlinearity("cubic")

@@ -25,9 +25,8 @@ from .signals import (BumpSpec, SampledSignal, Signal, SpikeTrainSpec,
                       bump_value, resolve_signal, sp_translation_distance,
                       spike_level_value, spike_train_value, stepanov_norm,
                       uniform_continuity_modulus)
-from .spectral import (Field, SemigroupParams, SpectralBasis, apply_semigroup,
-                       assemble_basis, decay_bound_check, field_from_function,
-                       mode_field, sup_norm, to_grid, to_spectral)
+from .spectral import (Field, SpectralBasis, apply_semigroup, decay_bound_check,
+                       field_from_function, mode_field)
 from .solver import (ForcingSpec, NonContractionError, NonlinearitySpec,
                      SolverConfig, Trajectory, global_bound_estimate,
                      load_trajectory, make_nonlinearity, mild_residual,

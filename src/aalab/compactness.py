@@ -76,10 +76,6 @@ class CoverReport:
     counts: np.ndarray
     centers: list
 
-    def count_at(self, eps):
-        i = int(np.argmin(np.abs(self.epsilons - eps)))
-        return int(self.counts[i])
-
 
 def greedy_cover(cloud, eps):
     """Farthest-point cover with balls of diameter eps (radius eps/2).

@@ -23,7 +23,9 @@ breakpoint query and one forcing evaluation per block, contracted against the
 cached quadrature factors.  ``Stepper.forcing_steps`` is the only place the
 forcing is integrated; the march, single steps and the mild-solution residual
 all take their forcing terms from it, bit-identical to integrating each step
-on its own.
+on its own.  ``Stepper.step_map`` is likewise the only place the nonlinearity
+enters a step: the Picard iteration, the single-step helpers and the residual
+all apply it to a base T(dt) x(t) plus forcing term formed once per step.
 """
 
 from dataclasses import dataclass, field
@@ -68,18 +70,11 @@ class PicardError(RuntimeError):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Pointwise reaction term g with its local Lipschitz estimator.
-
-    The flags record structural facts used by diagnostics: g(0) = 0, and
-    whether r -> g(r) - r is nonincreasing / strictly decreasing.
-    """
+    """Pointwise reaction term g with its local Lipschitz estimator."""
 
     name: str
     fn: callable
     lipschitz: callable
-    zero_at_zero: bool = True
-    shifted_nonincreasing: bool = False
-    shifted_strictly_decreasing: bool = False
 
     def __call__(self, r):
         return self.fn(r)
@@ -102,24 +97,19 @@ def make_nonlinearity(ident):
     ``logistic:<lam>`` (lam r (1 - r))."""
     if ident == "zero":
         return NonlinearitySpec("zero", lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                lambda R: 0.0, zero_at_zero=True,
-                                shifted_nonincreasing=True,
-                                shifted_strictly_decreasing=True)
+                                lambda R: 0.0)
     if ident == "cubic":
         return NonlinearitySpec("cubic", lambda r: -np.asarray(r, dtype=float) ** 3,
-                                lambda R: 3.0 * R * R, zero_at_zero=True,
-                                shifted_nonincreasing=True,
-                                shifted_strictly_decreasing=True)
+                                lambda R: 3.0 * R * R)
     if ident == "cubic-unstable":
         return NonlinearitySpec("cubic-unstable", lambda r: np.asarray(r, dtype=float) ** 3,
-                                lambda R: 3.0 * R * R, zero_at_zero=True)
+                                lambda R: 3.0 * R * R)
     m = re.fullmatch(r"logistic:([-+0-9.eE]+)", ident)
     if m:
         lam = float(m.group(1))
         return NonlinearitySpec(f"logistic:{lam:g}",
                                 lambda r, lam=lam: lam * np.asarray(r, dtype=float) * (1.0 - np.asarray(r, dtype=float)),
-                                lambda R, lam=lam: abs(lam) * (1.0 + 2.0 * R),
-                                zero_at_zero=True)
+                                lambda R, lam=lam: abs(lam) * (1.0 + 2.0 * R))
     raise KeyError(f"unknown nonlinearity id {ident!r}")
 
 
@@ -251,6 +241,10 @@ class SolverConfig:
             raise ValueError("dt and horizon must be positive")
         if self.picard_tol <= 0:
             raise ValueError("Picard tolerance must be positive")
+        if self.picard_max_iter < 1:
+            raise ValueError("Picard budget must allow at least one refinement")
+        if self.forcing_nodes < 1:
+            raise ValueError("forcing quadrature needs at least one node")
         if self.blowup_cap <= 0:
             raise ValueError("blow-up cap must be positive")
 
@@ -393,8 +387,26 @@ class Stepper:
         for j in range(starts.size):
             yield spiky[j], terms[j], layouts[j]
 
-    def _g_modes(self, values):
-        return self.dealias * (self.P @ self.g.fn(values))
+    def base(self, coeffs, dt, term):
+        """T(dt) coeffs plus the forcing term: the state-independent part of a step."""
+        decay = self.decay_dt if dt == self.config.dt else np.exp(-self.lam * dt)
+        return decay * coeffs + term
+
+    def step_map(self, base, layout, dt, vx, vy):
+        """The variation-of-constants step map: ``base`` plus the nonlinearity
+        integrated along the step on ``layout`` (rel, wts, D, S).
+
+        ``vx`` and ``vy`` are the grid values of the iterate profile at the
+        step's ends.  At order one the profile is frozen at ``vy``; with
+        ``order2`` it runs linearly from ``vx`` to ``vy``.  This is the only
+        place the nonlinearity enters a step.
+        """
+        rel, wts, D, S = layout
+        if self.config.order2:
+            profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
+            Gm = self.dealias[:, None] * (self.P @ self.g.fn(profile).T)
+            return base + (D * Gm) @ wts
+        return base + S * (self.dealias * (self.P @ self.g.fn(vy)))
 
     def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None):
         """One Picard-refined step from (t, coeffs) to t + dt.
@@ -412,37 +424,28 @@ class Stepper:
             raise ValueError("step dt exceeds the configured dt")
         if prepared is None:
             prepared = next(self.forcing_steps([t], [dt]))
-        _, term, (rel, wts, D, S) = prepared
-        decay = self.decay_dt if dt == cfg.dt else np.exp(-self.lam * dt)
-        base = decay * coeffs + term
+        _, term, layout = prepared
+        base = self.base(coeffs, dt, term)
 
         vx = coeffs @ self.E
         radius = float(np.max(np.abs(vx)))
         self._check_contraction(t, radius, dt)
 
-        y = coeffs
         vy = vx
         distances = []
-        iterations = 0
         for application in range(cfg.picard_max_iter + 1):
-            if cfg.order2:
-                profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
-                Gm = self.dealias[:, None] * (self.P @ self.g.fn(profile).T)
-                y_new = base + (D * Gm) @ wts
-            else:
-                y_new = base + S * self._g_modes(vy)
-            v_new = y_new @ self.E
+            y = self.step_map(base, layout, dt, vx, vy)
+            v_new = y @ self.E
             d = float(np.max(np.abs(v_new - vy)))
             radius = max(radius, float(np.max(np.abs(v_new))))
             self._check_contraction(t, radius, dt)
-            y, vy = y_new, v_new
+            vy = v_new
             if application == 0:
                 continue  # frozen application: seeds the iteration
-            iterations = application
             if collect_distances:
                 distances.append(d)
             if d <= cfg.picard_tol:
-                return y, iterations, distances
+                return y, application, distances
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
@@ -450,11 +453,10 @@ class Stepper:
 
     def step_frozen(self, coeffs, t, dt=None):
         """Single application with the profile frozen at the incoming state."""
-        cfg = self.config
-        dt = cfg.dt if dt is None else float(dt)
-        _, term, (_, _, _, S) = next(self.forcing_steps([t], [dt]))
-        decay = self.decay_dt if dt == cfg.dt else np.exp(-self.lam * dt)
-        return decay * coeffs + term + S * self._g_modes(coeffs @ self.E)
+        dt = self.config.dt if dt is None else float(dt)
+        _, term, layout = next(self.forcing_steps([t], [dt]))
+        v = coeffs @ self.E
+        return self.step_map(self.base(coeffs, dt, term), layout, dt, v, v)
 
     def _check_contraction(self, t, radius, dt):
         factor = self.g.lipschitz(radius) * dt  # M = 1 for this semigroup
@@ -463,17 +465,18 @@ class Stepper:
 
 
 def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=None):
-    """One exponential-Euler application.
+    """One application of the step map to ``x``, with the nonlinearity profile
+    ending at ``iterate`` (default: ``x`` itself, the zeroth Picard iterate).
 
-    The nonlinearity profile is frozen at ``iterate`` (default: the incoming
-    field), matching the zeroth Picard iterate of the step map.
+    At order one the profile is frozen at ``iterate``; with ``order2`` it runs
+    linearly from ``x`` to ``iterate``.
     """
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
     frozen = x if iterate is None else iterate
-    _, term, (_, _, _, S) = next(stepper.forcing_steps([t], [dt]))
-    base = np.exp(-stepper.lam * dt) * x.coeffs + term
-    out = base + S * stepper._g_modes(frozen.values)
+    _, term, layout = next(stepper.forcing_steps([t], [dt]))
+    out = stepper.step_map(stepper.base(x.coeffs, dt, term), layout, dt,
+                           x.values, frozen.values)
     return Field(x.basis, coeffs=out)
 
 
@@ -625,23 +628,22 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
 
     Re-integrates the stored trajectory from stamp ``i_from`` to ``i_to``
     with the same per-step quadrature and iterate profile the solver used,
-    and returns the sup-norm gap against the stored endpoint.
+    and returns the sup-norm gap against the stored endpoint.  Requires
+    0 <= i_from < i_to < len(traj).
     """
+    if not 0 <= i_from < i_to < len(traj):
+        raise ValueError(f"need 0 <= i_from < i_to < {len(traj)}, "
+                         f"got i_from = {i_from}, i_to = {i_to}")
     config = config if config is not None else SolverConfig(dt=traj.dt)
     stepper = Stepper(traj.basis, nonlinearity, forcing, config)
-    c = traj.coeffs[i_from].copy()
+    c = traj.coeffs[i_from]
     gaps = np.diff(traj.stamps[i_from:i_to + 1])
     steps = stepper.forcing_steps(traj.stamps[i_from:i_to], gaps)
-    for j, dt, (_, term, (rel, wts, D, S)) in zip(range(i_from, i_to), gaps, steps):
-        base = np.exp(-stepper.lam * dt) * c + term
-        vx = traj.coeffs[j] @ stepper.E
+    vx = c @ stepper.E
+    for j, dt, (_, term, layout) in zip(range(i_from, i_to), gaps, steps):
         vy = traj.coeffs[j + 1] @ stepper.E
-        if config.order2:
-            profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
-            Gm = stepper.dealias[:, None] * (stepper.P @ stepper.g.fn(profile).T)
-            c = base + (D * Gm) @ wts
-        else:
-            c = base + S * stepper._g_modes(vy)
+        c = stepper.step_map(stepper.base(c, dt, term), layout, dt, vx, vy)
+        vx = vy
     gap = (c - traj.coeffs[i_to]) @ stepper.E
     return float(np.max(np.abs(gap)))
 

@@ -16,7 +16,7 @@ def timed_solve(x0, cfg, nonlinearity, forcing=None):
 
 @pytest.fixture(scope="session")
 def ref_basis():
-    return sp.assemble_basis(length=1.0, modes=64, grid=256)
+    return sp.SpectralBasis(length=1.0, modes=64, grid=256)
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,10 @@ def report(criterion, ok, detail):
 
 def test_criterion_01_spectrum_and_decay():
     start = time.perf_counter()
-    lam1 = sp.assemble_basis(1.0, 1, 16).lambda1
+    lam1 = sp.SpectralBasis(1.0, 1, 16).lambda1
     spectrum_ok = abs(lam1 - np.pi ** 2) / np.pi ** 2 <= 1e-12
 
-    basis = sp.assemble_basis(1.0, 16, 128)
+    basis = sp.SpectralBasis(1.0, 16, 128)
     rng = np.random.default_rng(0)
     times = np.linspace(0.0, 2.0, 41)
     worst = 0.0
@@ -40,7 +40,7 @@ def test_criterion_01_spectrum_and_decay():
 
 def test_criterion_02_solver_oracle_equivalence():
     start = time.perf_counter()
-    basis = sp.assemble_basis(1.0, 16, 64)
+    basis = sp.SpectralBasis(1.0, 16, 64)
     zero = sv.make_nonlinearity("zero")
 
     traj = sv.solve(sp.mode_field(basis, 1), sv.SolverConfig(dt=1e-3, horizon=1.0), zero)
@@ -158,7 +158,7 @@ def test_criterion_07_energy_law(ref_parts, run_main, run_alt):
     v = run_alt[0]
     trace = cp.energy_monotonicity_check(u, v, tolerance=1e-8)
 
-    basis = sp.assemble_basis(1.0, 16, 64)
+    basis = sp.SpectralBasis(1.0, 16, 64)
     zero = sv.make_nonlinearity("zero")
     cfg = sv.SolverConfig(dt=1e-3, horizon=1.0)
     cu = sv.solve(sp.mode_field(basis, 1, 1.0), cfg, zero)

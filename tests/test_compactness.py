@@ -10,7 +10,7 @@ from aalab.signals import SpikeTrainSpec, StepanovConfig, constant_signal
 
 @pytest.fixture(scope="module")
 def basis():
-    return sp.assemble_basis(1.0, 16, 64)
+    return sp.SpectralBasis(1.0, 16, 64)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ def test_energy_zero_and_mode(basis):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(-3.0, 3.0))
 def test_energy_quadratic_homogeneity(seed, scale):
-    basis = sp.assemble_basis(1.0, 8, 32)
+    basis = sp.SpectralBasis(1.0, 8, 32)
     rng = np.random.default_rng(seed)
     f = sp.Field(basis, coeffs=rng.standard_normal(8))
     assert cp.energy(scale * f) == pytest.approx(scale ** 2 * cp.energy(f), rel=1e-12)

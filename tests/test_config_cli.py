@@ -184,6 +184,15 @@ def test_simulate_missing_config_exit_one(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("key, value", [("PICARD_MAX_ITER", "0"), ("FORCING_NODES", "0")])
+def test_simulate_rejects_empty_solver_budget(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setenv(f"AALAB_SOLVER__{key}", value)
+    code, _, err = run_cli(["simulate", "--config", "decay", "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 1
+    assert "error" in err
+
+
 def test_outputs_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AALAB_SOLVER__T", "0.25")
     out_a = tmp_path / "a"

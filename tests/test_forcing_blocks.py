@@ -32,6 +32,22 @@ def oracle_forcing_step(stepper, t, dt):
     return bps.size > 0, term, (rel, wts, D, D @ wts)
 
 
+def oracle_step_map(basis, g, order2, base, layout, dt, vx, vy):
+    """``base`` plus the nonlinear half of the step integral, written from the
+    basis alone: g on the iterate profile, projected and cut to the lowest
+    2K/3 modes (dealiasing), integrated on the step's layout."""
+    rel, wts, D, S = layout
+    k_active = max(1, (2 * basis.modes) // 3)
+    if order2:
+        profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
+        G = basis.project(g.fn(profile).T)
+        G[k_active:] = 0.0
+        return base + (D * G) @ wts
+    G = basis.project(g.fn(vy))
+    G[k_active:] = 0.0
+    return base + S * G
+
+
 def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     """The march of ``solve`` with every forcing term from the oracle."""
     stepper = sv.Stepper(x0.basis, nonlinearity, forcing, config)
@@ -115,35 +131,47 @@ def test_mild_residual_bit_identical(ref_basis, forcings, order2):
     gaps = np.diff(traj.stamps)
     assert np.any(gaps != cfg.dt)
     stepper = sv.Stepper(ref_basis, cubic, forcing, cfg)
+    E = ref_basis.eigenfunctions
     c = traj.coeffs[0].copy()
     for j, dt in enumerate(gaps):
-        _, term, (rel, wts, D, S) = oracle_forcing_step(stepper, traj.stamps[j], dt)
-        base = np.exp(-stepper.lam * dt) * c + term
-        vx = traj.coeffs[j] @ stepper.E
-        vy = traj.coeffs[j + 1] @ stepper.E
-        if order2:
-            profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
-            c = base + (D * (stepper.dealias[:, None] * (stepper.P @ cubic.fn(profile).T))) @ wts
-        else:
-            c = base + S * stepper._g_modes(vy)
-    expected = float(np.max(np.abs((c - traj.coeffs[-1]) @ stepper.E)))
+        _, term, layout = oracle_forcing_step(stepper, traj.stamps[j], dt)
+        base = np.exp(-ref_basis.eigenvalues * dt) * c + term
+        c = oracle_step_map(ref_basis, cubic, order2, base, layout, dt,
+                            traj.coeffs[j] @ E, traj.coeffs[j + 1] @ E)
+    expected = float(np.max(np.abs((c - traj.coeffs[-1]) @ E)))
     assert sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg) == expected
 
 
-@pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
-def test_single_steps_bit_identical(ref_basis, forcings, t):
-    forcing = forcings["profiled"]
+def check_single_steps(basis, forcing, t, order2):
+    """step_exponential, step_frozen and step against the test-local oracles."""
     cubic = sv.make_nonlinearity("cubic")
-    x = sv.reference_initial_field(ref_basis, "mode1", 0.5)
-    stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=1e-3))
-    _, term, (_, _, _, S) = oracle_forcing_step(stepper, t, 1e-3)
-    expected = np.exp(-stepper.lam * 1e-3) * x.coeffs + term + S * stepper._g_modes(x.values)
-    assert np.array_equal(sv.step_exponential(x, t, 1e-3, cubic, forcing).coeffs, expected)
-    frozen = np.exp(-stepper.lam * 1e-3) * x.coeffs + term + S * stepper._g_modes(x.coeffs @ stepper.E)
+    cfg = sv.SolverConfig(dt=1e-3, order2=order2)
+    x = sv.reference_initial_field(basis, "mode1", 0.5)
+    y = sv.reference_initial_field(basis, "mode2", 0.2)
+    stepper = sv.Stepper(basis, cubic, forcing, cfg)
+    _, term, layout = oracle_forcing_step(stepper, t, 1e-3)
+    base = np.exp(-basis.eigenvalues * 1e-3) * x.coeffs + term
+    expected = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, x.values, x.values)
+    assert np.array_equal(sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg).coeffs, expected)
+    expected = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, x.values, y.values)
+    assert np.array_equal(
+        sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg, iterate=y).coeffs, expected)
+    v = x.coeffs @ basis.eigenfunctions
+    frozen = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, v, v)
     assert np.array_equal(stepper.step_frozen(x.coeffs, t), frozen)
     oracle = stepper.step(x.coeffs, t, prepared=oracle_forcing_step(stepper, t, 1e-3))
     out = stepper.step(x.coeffs, t)
     assert np.array_equal(out[0], oracle[0]) and out[1] == oracle[1]
+
+
+@pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
+def test_single_steps_bit_identical(ref_basis, forcings, t):
+    check_single_steps(ref_basis, forcings["profiled"], t, order2=False)
+
+
+@pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
+def test_single_steps_order2_bit_identical(ref_basis, forcings, t):
+    check_single_steps(ref_basis, forcings["profiled"], t, order2=True)
 
 
 def test_spiky_steps_match_per_step_breakpoints(run_main, ref_parts):

@@ -8,7 +8,7 @@ from aalab.signals import SpikeTrainSpec, constant_signal
 
 @pytest.fixture(scope="module")
 def basis():
-    return sp.assemble_basis(1.0, 16, 64)
+    return sp.SpectralBasis(1.0, 16, 64)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,6 @@ def cubic():
 def test_nonlinearity_registry_flags():
     g = sv.make_nonlinearity("cubic")
     assert g.fn(0.0) == 0.0
-    assert g.shifted_strictly_decreasing
     assert g.lipschitz(2.0) == pytest.approx(12.0)
     zero = sv.make_nonlinearity("zero")
     assert zero.lipschitz(100.0) == 0.0
@@ -147,6 +146,13 @@ def test_picard_iteration_budget_and_geometric_decay(basis, cubic, reference_for
             assert d_next / d_prev <= factor
 
 
+@pytest.mark.parametrize("bad", [{"picard_max_iter": -1}, {"picard_max_iter": 0},
+                                 {"forcing_nodes": 0}])
+def test_solver_config_rejects_empty_budgets(bad):
+    with pytest.raises(ValueError):
+        sv.SolverConfig(**bad)
+
+
 def test_non_contraction_signalled(basis):
     x = sv.reference_initial_field(basis, "mode1", 50.0)
     with pytest.raises(sv.NonContractionError):
@@ -250,6 +256,15 @@ def test_mild_residual_small_on_solved_path(basis, cubic, reference_forcing):
         j = int(rng.integers(i + 1, len(traj)))
         res = sv.mild_residual(traj, i, j, cubic, reference_forcing, cfg)
         assert res <= budget
+
+
+@pytest.mark.parametrize("i_from, i_to", [(5, 5), (10, 3), (0, -1), (-2, 4), (0, 11)])
+def test_mild_residual_rejects_bad_indices(basis, cubic, i_from, i_to):
+    traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
+                    sv.SolverConfig(dt=1e-3, horizon=0.01), cubic)
+    assert len(traj) == 11
+    with pytest.raises(ValueError):
+        sv.mild_residual(traj, i_from, i_to, cubic)
 
 
 def test_translation_extension_decaying_run(basis):

@@ -8,26 +8,26 @@ from aalab import spectral as sp
 
 @pytest.fixture(scope="module")
 def basis():
-    return sp.assemble_basis(length=1.0, modes=8, grid=64)
+    return sp.SpectralBasis(length=1.0, modes=8, grid=64)
 
 
 def test_dirichlet_spectrum():
-    b1 = sp.assemble_basis(1.0, 1, 16)
+    b1 = sp.SpectralBasis(1.0, 1, 16)
     assert b1.eigenvalues[0] == pytest.approx(np.pi ** 2, rel=1e-14)
-    b3 = sp.assemble_basis(1.0, 3, 16)
+    b3 = sp.SpectralBasis(1.0, 3, 16)
     assert b3.eigenvalues[2] == pytest.approx(9 * np.pi ** 2, rel=1e-14)
-    b_long = sp.assemble_basis(2.0, 1, 16)
+    b_long = sp.SpectralBasis(2.0, 1, 16)
     assert b_long.eigenvalues[0] == pytest.approx(np.pi ** 2 / 4, rel=1e-14)
 
 
 def test_resolution_guard():
     with pytest.raises(ValueError):
-        sp.assemble_basis(1.0, 8, 16)
+        sp.SpectralBasis(1.0, 8, 16)
 
 
 def test_projection_orthonormal_mode(basis):
     f = sp.field_from_function(basis, lambda x: np.sqrt(2.0) * np.sin(np.pi * x))
-    c = sp.to_spectral(f)
+    c = f.coeffs
     assert c[0] == pytest.approx(1.0, abs=1e-13)
     assert np.max(np.abs(c[1:])) < 1e-13
 
@@ -35,7 +35,7 @@ def test_projection_orthonormal_mode(basis):
 def test_projection_matches_quadrature_oracle(basis):
     fn = lambda x: np.sin(np.pi * x) + 0.5 * np.sin(2 * np.pi * x)
     f = sp.field_from_function(basis, fn)
-    c = sp.to_spectral(f)
+    c = f.coeffs
     for k in (1, 2, 3):
         oracle, _ = quad(lambda x: fn(x) * np.sqrt(2.0) * np.sin(k * np.pi * x),
                          0.0, 1.0, epsabs=1e-13)
@@ -44,14 +44,14 @@ def test_projection_matches_quadrature_oracle(basis):
 
 def test_zero_field(basis):
     f = sp.Field(basis, values=np.zeros(basis.grid + 1))
-    assert np.all(sp.to_spectral(f) == 0.0)
-    assert sp.sup_norm(f) == 0.0
+    assert np.all(f.coeffs == 0.0)
+    assert f.sup_norm() == 0.0
 
 
 def test_round_trip_band_limited(basis):
     rng = np.random.default_rng(11)
     c = rng.standard_normal(basis.modes)
-    back = sp.to_spectral(sp.to_grid(basis, c))
+    back = sp.Field(basis, values=sp.Field(basis, coeffs=c).values).coeffs
     assert np.max(np.abs(back - c)) < 1e-10 * np.max(np.abs(c))
 
 
@@ -76,11 +76,11 @@ def test_semigroup_rejects_negative_time(basis):
 
 
 def test_sup_norm_known_maxima():
-    b = sp.assemble_basis(1.0, 2, 16)
+    b = sp.SpectralBasis(1.0, 2, 16)
     f1 = sp.field_from_function(b, lambda x: np.sin(np.pi * x))
-    assert sp.sup_norm(f1) == pytest.approx(1.0, abs=1e-15)  # node at midpoint
+    assert f1.sup_norm() == pytest.approx(1.0, abs=1e-15)  # node at midpoint
     f2 = sp.field_from_function(b, lambda x: np.sin(2 * np.pi * x))
-    assert sp.sup_norm(f2) == pytest.approx(1.0, abs=1e-15)  # nodes at quarters
+    assert f2.sup_norm() == pytest.approx(1.0, abs=1e-15)  # nodes at quarters
 
 
 def test_boundary_zeros_preserved(basis):
@@ -99,7 +99,7 @@ def test_decay_bound_single_mode(basis):
 
 
 def test_decay_bound_random_fields():
-    b = sp.assemble_basis(1.0, 16, 128)
+    b = sp.SpectralBasis(1.0, 16, 128)
     rng = np.random.default_rng(0)
     times = np.linspace(0.0, 2.0, 41)
     worst = 0.0
@@ -118,10 +118,10 @@ def test_decay_bound_needs_nonzero(basis):
 @settings(max_examples=30, deadline=None)
 @given(t=st.floats(0.01, 3.0), seed=st.integers(0, 1000))
 def test_sup_contraction_property(t, seed):
-    b = sp.assemble_basis(1.0, 8, 64)
+    b = sp.SpectralBasis(1.0, 8, 64)
     rng = np.random.default_rng(seed)
     f = sp.Field(b, coeffs=rng.standard_normal(8))
-    assert sp.sup_norm(sp.apply_semigroup(f, t)) <= sp.sup_norm(f) + 1e-12
+    assert sp.apply_semigroup(f, t).sup_norm() <= f.sup_norm() + 1e-12
 
 
 def test_compactness_surrogate_tail_mass(basis):
@@ -153,6 +153,6 @@ def test_field_arithmetic(basis):
     h = 0.5 * (f + g) - g
     assert h.coeffs[0] == pytest.approx(1.0)
     assert h.coeffs[1] == pytest.approx(-0.5)
-    other = sp.assemble_basis(1.0, 4, 32)
+    other = sp.SpectralBasis(1.0, 4, 32)
     with pytest.raises(ValueError):
         _ = f + sp.mode_field(other, 1)
