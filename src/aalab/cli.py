@@ -18,7 +18,7 @@ from .compactness import (energy_monotonicity_check, minimal_solution_select,
                           range_compactness_report, subvariant_eval)
 from .config import ConfigError, builtin_config_path, load_scenario
 from .signals import (StepanovConfig, aa_translation_test, resolve_signal,
-                      power_shift_ladder, sqrt2_shift_ladder,
+                      power_shift_ladder, sqrt2_shift_ladder, stepanov_norm,
                       uniform_continuity_modulus)
 from .solver import load_trajectory, save_trajectory, solve
 from .util import fmt15
@@ -114,8 +114,7 @@ def cmd_signal(args):
     if args.signal_cmd == "norm":
         cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=args.tmin,
                              t_max=args.tmax, stride=args.stride)
-        from .signals import stepanov_norm
-        value = stepanov_norm(sig, cfg, threads=args.threads)
+        value = stepanov_norm(sig, cfg)
         text = ("id,p,t_min,t_max,stride,value\n"
                 f"{args.id},{fmt15(args.p)},{fmt15(args.tmin)},{fmt15(args.tmax)},"
                 f"{fmt15(args.stride)},{fmt15(value)}\n")
@@ -131,7 +130,7 @@ def cmd_signal(args):
     windows = np.array([float(tok) for tok in args.windows.split(",")])
     cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=float(np.min(windows)),
                          t_max=float(np.max(windows)), threshold=args.threshold)
-    report = aa_translation_test(sig, ladder, cfg, windows, threads=args.threads)
+    report = aa_translation_test(sig, ladder, cfg, windows)
     rows = ["n,m,shift_n,shift_m,distance"]
     for n in range(len(ladder)):
         for m in range(len(ladder)):
@@ -169,7 +168,7 @@ def cmd_diagnose(args):
     elif sub == "compactness":
         traj = load_trajectory(args.trajdirs[0])
         eps = [float(tok) for tok in args.eps.split(",")]
-        report = range_compactness_report(traj, eps, strides=(2, 1), threads=args.threads)
+        report = range_compactness_report(traj, eps, strides=(2, 1))
         rows = ["stride,eps,n_balls"]
         for i, stride in enumerate(report.strides):
             for j, e in enumerate(report.epsilons):
@@ -222,8 +221,6 @@ def cmd_diagnose(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="thread count for window scans and cover ladders")
     common.add_argument("--out", default=None, help="output file or directory")
 
     parser = argparse.ArgumentParser(prog="aalab",
@@ -282,8 +279,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse uses 2 for usage errors; here 2 means blow-up
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import StepanovConfig
-from .util import ordered_map
+from .signals import FunctionSignal, StepanovConfig, stepanov_norm
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +76,29 @@ class CoverReport:
     centers: list
 
 
+def _check_eps(eps):
+    if not eps > 0:  # also rejects NaN, which would never end a traversal
+        raise ValueError(f"eps must be positive, got {eps!r}")
+
+
+def _farthest_point_traversal(cloud, eps):
+    """Farthest-point order from index 0, stopped at cover radius <= eps/2.
+
+    Returns the centers in promotion order and ``radii``, where ``radii[k]``
+    is the cover radius of the first k + 1 centers.  The order does not
+    depend on eps, so the greedy cover at any larger eps is a prefix.
+    """
+    centers = [0]
+    nearest = cloud.distances_to(0)
+    radii = [float(np.max(nearest))]
+    while radii[-1] > eps / 2.0:
+        candidate = int(np.argmax(nearest))  # argmax returns the lowest tied index
+        centers.append(candidate)
+        nearest = np.minimum(nearest, cloud.distances_to(candidate))
+        radii.append(float(np.max(nearest)))
+    return centers, np.array(radii)
+
+
 def greedy_cover(cloud, eps):
     """Farthest-point cover with balls of diameter eps (radius eps/2).
 
@@ -86,25 +108,25 @@ def greedy_cover(cloud, eps):
 
     Returns (center indices, cover radius actually achieved).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    centers = [0]
-    nearest = cloud.distances_to(0)
-    while True:
-        worst = float(np.max(nearest))
-        if worst <= eps / 2.0:
-            return centers, worst
-        candidate = int(np.argmax(nearest))  # argmax returns the lowest tied index
-        centers.append(candidate)
-        nearest = np.minimum(nearest, cloud.distances_to(candidate))
+    _check_eps(eps)
+    centers, radii = _farthest_point_traversal(cloud, eps)
+    return centers, float(radii[-1])
 
 
-def cover_ladder(cloud, epsilons, threads=1):
-    """CoverReport over a ladder of ball diameters."""
+def cover_ladder(cloud, epsilons):
+    """CoverReport over a ladder of ball diameters.
+
+    One traversal down to the smallest eps serves the whole ladder: the
+    cover at each eps is the shortest prefix whose radius is <= eps/2.
+    """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    results = ordered_map(lambda e: greedy_cover(cloud, e), epsilons, threads)
-    counts = np.array([len(c) for c, _ in results], dtype=int)
-    centers = [c for c, _ in results]
+    for eps in epsilons:
+        _check_eps(eps)
+    if epsilons.size == 0:
+        return CoverReport(epsilons=epsilons, counts=np.zeros(0, dtype=int), centers=[])
+    order, radii = _farthest_point_traversal(cloud, epsilons[-1])
+    counts = np.array([int(np.argmax(radii <= e / 2.0)) + 1 for e in epsilons], dtype=int)
+    centers = [order[:c] for c in counts]
     return CoverReport(epsilons=epsilons, counts=counts, centers=centers)
 
 
@@ -139,8 +161,7 @@ class CompactnessReport:
         return "compactness-consistent" if self.stable else "inconclusive"
 
 
-def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup",
-                             threads=1):
+def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup"):
     """Cover the sampled range at several densities and compare counts.
 
     ``strides`` are subsampling strides in decreasing order (doubling
@@ -151,7 +172,7 @@ def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup",
     table = []
     for stride in strides:
         cloud = PointCloud.from_trajectory(traj, metric=metric, stride=int(stride))
-        table.append(cover_ladder(cloud, epsilons, threads=threads).counts)
+        table.append(cover_ladder(cloud, epsilons).counts)
     counts = np.stack(table)
     stable = bool(np.all(counts[-1] == counts[-2])) if len(strides) > 1 else True
     eps_sorted = np.sort(np.asarray(epsilons, dtype=float))[::-1]
@@ -163,7 +184,7 @@ def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup",
 # Uniform windowed bound over a compact cloud
 # ---------------------------------------------------------------------------
 
-def uniform_stepanov_bound(rhs, cloud, p, cfg=None, threads=1):
+def uniform_stepanov_bound(rhs, cloud, p, cfg=None):
     """k_p: the worst windowed L^p norm of t -> f(t, x) over the cloud.
 
     ``rhs(values)`` must return a Signal for a fixed state given by its grid
@@ -171,19 +192,11 @@ def uniform_stepanov_bound(rhs, cloud, p, cfg=None, threads=1):
     the cloud: this is the constant the uniform-continuity envelope uses.
     """
     cfg = cfg if cfg is not None else StepanovConfig()
-
-    def norm_for(point):
-        sig = rhs(point)
-        from .signals import stepanov_norm
-        return stepanov_norm(sig, cfg)
-
-    vals = ordered_map(norm_for, list(cloud.points), threads)
-    return float(np.max(vals))
+    return float(np.max([stepanov_norm(rhs(point), cfg) for point in cloud.points]))
 
 
 def evolution_rhs_signal(nonlinearity, forcing):
     """Factory of Signals t -> sup-norm of G(x) + H(t) for a frozen state x."""
-    from .signals import FunctionSignal
 
     def make(values):
         g_vals = nonlinearity.fn(np.asarray(values, dtype=float))

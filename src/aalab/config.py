@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from importlib import resources
 import os
 
-import numpy as np
-
 from .signals import BumpSpec, SpikeTrainSpec
 from .solver import ForcingSpec, SolverConfig, make_nonlinearity, reference_initial_field
 from .spectral import SpectralBasis
@@ -41,10 +39,6 @@ DEFAULTS = {
     "forcing.boundary": "profiled",
     "initial.profile": "mode1",
     "initial.amplitude": "1.0",
-    "diagnostics.ladder": "pow3",
-    "diagnostics.eps": "0.2,0.1,0.05",
-    "diagnostics.deltas": "1e-3,1e-2,1e-1",
-    "diagnostics.functional": "sup-norm",
     "output.dir": "out/run",
     "output.snapshot_stride": "0",
 }
@@ -116,13 +110,6 @@ class Scenario:
         except ValueError as exc:
             raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}") from exc
 
-    def _floats(self, key):
-        raw = self.values[key]
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from exc
-
     # builders -------------------------------------------------------------
 
     def basis(self):
@@ -169,21 +156,6 @@ class Scenario:
                                            self._float("initial.amplitude"))
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def shift_ladder(self):
-        from .signals import power_shift_ladder, sqrt2_shift_ladder
-        raw = self.values["diagnostics.ladder"]
-        if raw == "pow3":
-            return power_shift_ladder()
-        if raw == "sqrt2":
-            return sqrt2_shift_ladder()
-        return np.asarray(self._floats("diagnostics.ladder"))
-
-    def eps_ladder(self):
-        return self._floats("diagnostics.eps")
-
-    def delta_grid(self):
-        return self._floats("diagnostics.deltas")
 
     def snapshot_stride(self):
         stride = self._int("output.snapshot_stride")

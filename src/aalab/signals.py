@@ -12,8 +12,7 @@ The module provides:
 * Stepanov window norms, Bochner window transforms, translation distances,
   a translation-ladder recurrence test, and a uniform-continuity modulus.
 
-All evaluations are deterministic and signals are immutable once built, so
-they are safe to share across threads.
+All evaluations are deterministic and signals are immutable once built.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +22,6 @@ import warnings
 import numpy as np
 
 from .quadrature import quadrature_nodes
-from .util import ordered_map
 
 #: Window length of all windowed norms (fixed by definition).
 WINDOW = 1.0
@@ -464,7 +462,7 @@ def window_lp_norm(f, t, p=1.0, nodes=32):
     return max(acc, 0.0) ** (1.0 / p)
 
 
-def stepanov_norm(f, cfg, threads=1):
+def stepanov_norm(f, cfg):
     """Scan sup over t of the windowed L^p norm on [t_min, t_max].
 
     The supremum over the real line is approached from below: only the
@@ -472,8 +470,7 @@ def stepanov_norm(f, cfg, threads=1):
     """
     f.require_span(cfg.t_min, cfg.t_max + WINDOW)
     ts = np.arange(cfg.t_min, cfg.t_max + 0.5 * cfg.stride, cfg.stride)
-    vals = ordered_map(lambda t: window_lp_norm(f, t, cfg.p, cfg.nodes), ts, threads)
-    return float(np.max(vals))
+    return float(np.max([window_lp_norm(f, t, cfg.p, cfg.nodes) for t in ts]))
 
 
 class WindowFunction:
@@ -552,7 +549,7 @@ class TranslationTestReport:
     limit_distances: np.ndarray | None = None
 
 
-def aa_translation_test(f, ladder, cfg, windows, limit_candidate=None, threads=1):
+def aa_translation_test(f, ladder, cfg, windows, limit_candidate=None):
     """Fill the pairwise translation-distance matrix over a shift ladder.
 
     Verdict is "recurrence-consistent" when the tail maxima shrink
@@ -568,16 +565,13 @@ def aa_translation_test(f, ladder, cfg, windows, limit_candidate=None, threads=1
     f.require_span(min(span_lo, float(np.min(windows))),
                    max(span_hi, float(np.max(windows)) + WINDOW))
 
-    pairs = [(n, m) for n in range(shifts.size) for m in range(shifts.size)]
-
-    def pair_distance(nm):
-        n, m = nm
+    def pair_distance(n, m):
         tau = shifts[n] - shifts[m]
         return max(sp_translation_distance(f, f, tau, t, cfg.p, cfg.nodes)
                    for t in windows)
 
-    vals = ordered_map(pair_distance, pairs, threads)
-    d = np.asarray(vals).reshape(shifts.size, shifts.size)
+    d = np.array([[pair_distance(n, m) for m in range(shifts.size)]
+                  for n in range(shifts.size)])
 
     tail = np.empty(shifts.size - 1)
     for k in range(shifts.size - 1):

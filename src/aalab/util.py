@@ -1,19 +1,10 @@
-"""Small shared helpers: deterministic parallel mapping and number formatting."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""Small shared helpers: serial mapping and number formatting."""
 
 
-def ordered_map(fn, items, threads=1):
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Results come back in input order, so any reduction performed by the
-    caller is independent of the thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items):
+    """Serial ``[fn(x) for x in items]``, unused in aalab; kept while
+    bench/tracing.py traces it."""
+    return [fn(x) for x in items]
 
 
 def fmt15(x):

@@ -80,6 +80,59 @@ def test_greedy_deterministic():
     assert first[0] == second[0]
 
 
+class CountingCloud(cp.PointCloud):
+    """A PointCloud that counts its distance rows."""
+
+    calls = 0
+
+    def distances_to(self, index):
+        self.calls += 1
+        return super().distances_to(index)
+
+
+def test_cover_ladder_is_one_traversal():
+    rng = np.random.default_rng(2)
+    cloud = CountingCloud(rng.uniform(0, 1, size=(200, 3)))
+    report = cp.cover_ladder(cloud, [0.05, 0.2, 0.1])
+    assert report.counts[-1] > report.counts[0] > 1
+    # one distance row per center of the finest cover, none repeated per eps
+    assert cloud.calls == report.counts.max()
+
+
+@pytest.mark.parametrize("metric", ["sup", "L2"])
+def test_cover_ladder_entries_equal_standalone_covers(metric):
+    rng = np.random.default_rng(3)
+    weights = rng.uniform(0.5, 1.5, size=6) if metric == "L2" else None
+    cloud = cp.PointCloud(rng.standard_normal((150, 6)), metric=metric, weights=weights)
+    ladder = [1.5, 0.8, 3.0, 0.8, 2.2]  # unsorted, with a duplicate
+    report = cp.cover_ladder(cloud, ladder)
+    assert list(report.epsilons) == sorted(ladder, reverse=True)
+    for eps, count, centers in zip(report.epsilons, report.counts, report.centers):
+        standalone, radius = cp.greedy_cover(cloud, eps)
+        assert centers == standalone
+        assert count == len(standalone)
+        assert radius <= eps / 2.0
+    assert len(set(report.counts)) > 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1])
+def test_covers_reject_nonpositive_or_nan_eps(bad):
+    cloud = cp.PointCloud(np.linspace(0.0, 1.0, 50))
+    with pytest.raises(ValueError, match="eps"):
+        cp.greedy_cover(cloud, bad)
+    with pytest.raises(ValueError, match="eps"):
+        cp.cover_ladder(cloud, [0.2, bad, 0.1])
+
+
+def test_cover_ladder_infinite_and_empty():
+    cloud = cp.PointCloud(np.linspace(0.0, 1.0, 50))
+    assert cp.greedy_cover(cloud, np.inf) == ([0], 1.0)
+    report = cp.cover_ladder(cloud, [np.inf, 1.0])
+    assert list(report.counts) == [1, 2]
+    empty = cp.cover_ladder(cloud, [])
+    assert empty.counts.size == 0 and empty.centers == []
+
+
 def test_constant_trajectory_single_ball(basis):
     coeffs = np.tile(sp.mode_field(basis, 1).coeffs, (20, 1))
     traj = sv.Trajectory(basis, np.arange(20.0), coeffs, np.ones(20))

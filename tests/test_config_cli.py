@@ -60,13 +60,11 @@ def test_builtin_configs_load():
 def test_scenario_builders(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("basis.K = 8\nbasis.N = 32\nforcing.temporal = reference\n"
-                    "forcing.nmax = 2\ndiagnostics.ladder = 1.5,3.0\n")
+                    "forcing.nmax = 2\n")
     scenario = cfgmod.load_scenario(str(path))
     basis = scenario.basis()
     forcing = scenario.forcing(basis)
     assert not forcing.is_zero
-    assert list(scenario.shift_ladder()) == [1.5, 3.0]
-    assert scenario.eps_ladder() == [0.2, 0.1, 0.05]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +180,32 @@ def test_simulate_missing_config_exit_one(capsys):
     code, _, err = run_cli(["simulate", "--config", "does-not-exist"], capsys)
     assert code == 1
     assert "config" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"],                                                  # missing --config
+    ["simulate", "--config", "does-not-exist", "--threads", "2"],  # removed option
+    ["diagnose", "compactness"],                                   # missing trajdir
+])
+def test_usage_errors_exit_one(capsys, args):
+    code, _, err = run_cli(args, capsys)
+    assert code == 1  # 2 is reserved for blow-up
+    assert "usage" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli(["simulate", "--help"], capsys)
+    assert code == 0
+    assert "--config" in out
+
+
+def test_diagnose_compactness_rejects_nan_eps(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AALAB_SOLVER__T", "0.05")
+    out_dir = str(tmp_path / "d")
+    assert run_cli(["simulate", "--config", "decay", "--out", out_dir], capsys)[0] == 0
+    code, _, err = run_cli(["diagnose", "compactness", out_dir, "--eps", "0.2,nan"], capsys)
+    assert code == 1
+    assert "eps" in err
 
 
 @pytest.mark.parametrize("key, value", [("PICARD_MAX_ITER", "0"), ("FORCING_NODES", "0")])

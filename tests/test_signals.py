@@ -148,12 +148,6 @@ def test_stepanov_scan_monotone_in_range(spikes):
     assert wide >= narrow
 
 
-def test_stepanov_threads_do_not_change_result(spikes):
-    a = sg.SpikeTrainSignal(spikes)
-    cfg = sg.StepanovConfig(p=1.0, t_min=0.0, t_max=12.0)
-    assert sg.stepanov_norm(a, cfg, threads=4) == sg.stepanov_norm(a, cfg, threads=1)
-
-
 @settings(max_examples=25, deadline=None)
 @given(p1=st.floats(1.0, 4.0), p2=st.floats(1.0, 4.0), t=st.floats(0.0, 5.0))
 def test_window_norm_monotone_in_exponent(p1, p2, t):
