@@ -190,8 +190,13 @@ def uniform_stepanov_bound(rhs, cloud, p, cfg=None):
     ``rhs(values)`` must return a Signal for a fixed state given by its grid
     values.  Finite whenever the forcing is Stepanov-bounded, however large
     the cloud: this is the constant the uniform-continuity envelope uses.
+    Without ``cfg`` the scan uses the ``StepanovConfig`` defaults with
+    exponent ``p``; a ``cfg`` whose ``p`` differs raises ``ValueError``.
     """
-    cfg = cfg if cfg is not None else StepanovConfig()
+    if cfg is None:
+        cfg = StepanovConfig(p=p)
+    elif cfg.p != p:
+        raise ValueError(f"exponent p = {p:g} disagrees with cfg.p = {cfg.p:g}")
     return float(np.max([stepanov_norm(rhs(point), cfg) for point in cloud.points]))
 
 

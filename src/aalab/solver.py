@@ -1,18 +1,21 @@
 """Time stepping for x' = A x + G(x) + H(t) by variation of constants.
 
-Each step applies the heat semigroup exactly per mode and quadratures the
-forcing and nonlinearity along the step, with the integrand profile supplied
-by a per-step fixed-point (Picard) iteration:
+Each step applies the heat semigroup exactly per mode and integrates the
+forcing and nonlinearity along the step, with the nonlinearity profile
+supplied by a per-step fixed-point (Picard) iteration:
 
     x(t + dt) = T(dt) x(t) + integral_t^{t+dt} T(t + dt - s) f(s, xhat(s)) ds
 
-The default iterate profile is constant in s (frozen at the current iterate,
-starting from x(t)); an optional refinement interpolates linearly between the
-step endpoints, which raises the observed convergence order from one to two.
-The per-step map is a contraction whenever M * L_R * dt < 1/2, where L_R is
-the local Lipschitz constant of the nonlinearity on the current radius; the
-stepper enforces that margin and reports the iterate distances so contraction
-can be observed, not assumed.
+The default profile of g is constant in s (frozen at the current iterate,
+starting from x(t)); the optional refinement interpolates g linearly between
+the step endpoints (an ETD2-type update), which raises the observed
+convergence order from one to two.  Either way the kernel exp(-lambda_k
+(dt - s)) is integrated in closed form against the profile, so the
+nonlinearity is evaluated once per Picard sweep, on the iterate's grid
+values.  The per-step map is a contraction whenever M * L_R * dt < 1/2,
+where L_R is the local Lipschitz constant of the nonlinearity on the
+current radius; the stepper enforces that margin and reports the iterate
+distances so contraction can be observed, not assumed.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -23,12 +26,13 @@ breakpoint query and one forcing evaluation per block, contracted against the
 cached quadrature factors.  ``Stepper.forcing_steps`` is the only place the
 forcing is integrated; the march, single steps and the mild-solution residual
 all take their forcing terms from it, bit-identical to integrating each step
-on its own.  ``Stepper.step_map`` is likewise the only place the nonlinearity
-enters a step: the Picard iteration, the single-step helpers and the residual
-all apply it to a base T(dt) x(t) plus forcing term formed once per step.
+on its own.  ``Stepper.base`` and ``Stepper.step_map`` are likewise the only
+places the nonlinearity enters a step: the Picard iteration, the single-step
+helpers and the residual all apply the map to a base formed once per step.
 """
 
 from dataclasses import dataclass, field
+import math
 import os
 import re
 
@@ -92,6 +96,13 @@ class NonlinearitySpec:
         return float(np.max(ratios)) if ratios.size else -np.inf
 
 
+def _cube(r):
+    """r^3 as a product: exactly odd, within one ulp of ``r ** 3``, and as fast
+    on negative values as on positive ones (numpy's power is not)."""
+    r = np.asarray(r, dtype=float)
+    return r * r * r
+
+
 def make_nonlinearity(ident):
     """Registry: ``zero``, ``cubic`` (-r^3), ``cubic-unstable`` (+r^3),
     ``logistic:<lam>`` (lam r (1 - r))."""
@@ -99,11 +110,9 @@ def make_nonlinearity(ident):
         return NonlinearitySpec("zero", lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                                 lambda R: 0.0)
     if ident == "cubic":
-        return NonlinearitySpec("cubic", lambda r: -np.asarray(r, dtype=float) ** 3,
-                                lambda R: 3.0 * R * R)
+        return NonlinearitySpec("cubic", lambda r: -_cube(r), lambda R: 3.0 * R * R)
     if ident == "cubic-unstable":
-        return NonlinearitySpec("cubic-unstable", lambda r: np.asarray(r, dtype=float) ** 3,
-                                lambda R: 3.0 * R * R)
+        return NonlinearitySpec("cubic-unstable", _cube, lambda R: 3.0 * R * R)
     m = re.fullmatch(r"logistic:([-+0-9.eE]+)", ident)
     if m:
         lam = float(m.group(1))
@@ -226,7 +235,7 @@ class ForcingSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon, Picard control, quadrature order, blow-up cap."""
+    """Step size, horizon, Picard control, forcing quadrature order, blow-up cap."""
 
     dt: float = 1e-3
     horizon: float = 1.0
@@ -306,8 +315,40 @@ class Trajectory:
         return SampledSignal(self.stamps, self.grid_values(), name=name)
 
 
+#: Below this lambda * dt the weight w2 is summed from its Taylor series; the
+#: closed form loses about 2 eps / (lambda dt) to cancellation, 4.4e-16 here.
+_SERIES_BELOW = 1.0
+#: Terms of that series: the first one left out is at most 1.1e-18 of the sum.
+_SERIES_TERMS = 18
+
+
+def etd_weights(lam, dt):
+    """Closed-form weights of the nonlinear half of a step of length ``dt``.
+
+    Per eigenvalue ``lam``: w1 = int_0^dt exp(-lam (dt - s)) ds, the weight
+    of a profile constant in s, and w2 = int_0^dt exp(-lam (dt - s)) s / dt ds,
+    the weight of a profile rising linearly from 0 to 1 across the step.
+    With z = lam dt, w1 = -expm1(-z) / lam and w2 = dt (z + expm1(-z)) / z^2;
+    for z below _SERIES_BELOW, w2 comes from the series
+    dt sum_k (-z)^k / (k + 2)! instead.
+    """
+    lam = np.asarray(lam, dtype=float)
+    z = lam * dt
+    w1 = -np.expm1(-z) / lam
+    small = z < _SERIES_BELOW
+    zb = z[~small]
+    phi2 = np.empty_like(z)
+    phi2[~small] = (zb + np.expm1(-zb)) / (zb * zb)
+    zs = z[small]
+    acc = np.zeros_like(zs)
+    for k in range(_SERIES_TERMS - 1, -1, -1):
+        acc = acc * -zs + 1.0 / math.factorial(k + 2)
+    phi2[small] = acc
+    return w1, dt * phi2
+
+
 class Stepper:
-    """Reusable single-step engine with cached quadrature factors."""
+    """Reusable single-step engine with cached quadrature factors and weights."""
 
     def __init__(self, basis, nonlinearity, forcing=None, config=None):
         self.basis = basis
@@ -322,23 +363,44 @@ class Stepper:
         self.dealias[:k_active] = 1.0
         dt = self.config.dt
         self.decay_dt = np.exp(-self.lam * dt)
+        self._weights_dt = self._fold(*etd_weights(self.lam, dt))
         x, w = gauss_nodes(self.config.forcing_nodes)
         rel = 0.5 * dt * (x + 1.0)
         self._default_rel = rel
         self._default_w = 0.5 * dt * w
         self._default_D = np.exp(-np.outer(self.lam, dt - rel))
-        self._default_S = self._default_D @ self._default_w
+
+    def _fold(self, w1, w2):
+        if self.config.order2:
+            return self.dealias * (w1 - w2), self.dealias * w2
+        return None, self.dealias * w1
+
+    def weights(self, dt):
+        """Per-mode weights (wx, wy) of the nonlinear half of a step of length
+        ``dt``, dealiasing (the lowest 2K/3 modes) folded in.
+
+        The step integral of g is wx P g(x(t)) + wy P g(xhat(t + dt)): at
+        order one wx is None and wy = w1 (see ``etd_weights``); with
+        ``order2``, g runs linearly between the ends and (wx, wy) =
+        (w1 - w2, w2).  Cached for the configured dt, computed for others.
+        """
+        if dt == self.config.dt:
+            return self._weights_dt
+        return self._fold(*etd_weights(self.lam, dt))
+
+    def nonlinear(self, values):
+        """Mode coefficients of g at the grid ``values``: P g(values)."""
+        return self.P @ self.g.fn(values)
 
     def forcing_steps(self, starts, gaps):
         """Forcing integrals of the steps [starts[j], starts[j] + gaps[j]], in order.
 
-        Yields one (spiky, term, layout) triple per step: ``layout`` holds the
-        quadrature factors (rel, wts, D, S) of the step, ``term`` is
-        (D * H(t + rel)) @ wts, the forcing part of the step integral (0.0
-        for a zero forcing), and ``spiky`` tells whether the forcing reported
-        breakpoints on the step, which then gets its own subdivided layout.
-        Steps are computed FORCING_BLOCK at a time, so a consumer that stops
-        early wastes at most one block.
+        Yields one (spiky, term) pair per step: ``term`` is (D * H(t + rel)) @
+        wts on the step's quadrature layout (rel, wts, D), the forcing part of
+        the step integral (0.0 for a zero forcing), and ``spiky`` tells
+        whether the forcing reported breakpoints on the step, which then gets
+        its own subdivided layout.  Steps are computed FORCING_BLOCK at a
+        time, so a consumer that stops early wastes at most one block.
         """
         starts = np.asarray(starts, dtype=float)
         gaps = np.broadcast_to(np.asarray(gaps, dtype=float), starts.shape)
@@ -352,21 +414,20 @@ class Stepper:
         zero = self.forcing.is_zero
         spiky = (np.zeros(starts.size, dtype=bool) if zero
                  else self.forcing.has_breakpoints(starts, ends))
+        if zero:
+            for j in range(starts.size):
+                yield spiky[j], 0.0
+            return
         bps = self.forcing.breakpoints(starts[0], ends[-1]) if spiky.any() else np.empty(0)
         own_layout = spiky | (gaps != cfg.dt)
         own, smooth = np.flatnonzero(own_layout), np.flatnonzero(~own_layout)
-        layouts = [(self._default_rel, self._default_w, self._default_D, self._default_S)] * starts.size
+        layouts = {}
         for j in own:
             # quadrature_nodes keeps only the breakpoints inside the step
             pts, wts = quadrature_nodes(starts[j], ends[j], bps if spiky[j] else (),
                                         cfg.forcing_nodes)
             rel = pts - starts[j]
-            D = np.exp(-np.outer(self.lam, gaps[j] - rel))
-            layouts[j] = (rel, wts, D, D @ wts)
-        if zero:
-            for j in range(starts.size):
-                yield spiky[j], 0.0, layouts[j]
-            return
+            layouts[j] = (rel, wts, np.exp(-np.outer(self.lam, gaps[j] - rel)))
         q = self._default_rel.size
         F = self.forcing.mode_values(np.concatenate(
             [(starts[smooth, None] + self._default_rel).ravel()]
@@ -381,71 +442,71 @@ class Stepper:
         terms[smooth] = weighted @ self._default_w
         col = n * q
         for j in own:
-            rel, wts, D, _ = layouts[j]
+            rel, wts, D = layouts[j]
             terms[j] = (D * F[:, col:col + rel.size]) @ wts
             col += rel.size
         for j in range(starts.size):
-            yield spiky[j], terms[j], layouts[j]
+            yield spiky[j], terms[j]
 
-    def base(self, coeffs, dt, term):
-        """T(dt) coeffs plus the forcing term: the state-independent part of a step."""
-        decay = self.decay_dt if dt == self.config.dt else np.exp(-self.lam * dt)
-        return decay * coeffs + term
-
-    def step_map(self, base, layout, dt, vx, vy):
-        """The variation-of-constants step map: ``base`` plus the nonlinearity
-        integrated along the step on ``layout`` (rel, wts, D, S).
-
-        ``vx`` and ``vy`` are the grid values of the iterate profile at the
-        step's ends.  At order one the profile is frozen at ``vy``; with
-        ``order2`` it runs linearly from ``vx`` to ``vy``.  This is the only
-        place the nonlinearity enters a step.
+    def base(self, coeffs, dt, term, gx):
+        """The part of a step fixed by its start: T(dt) coeffs plus the forcing
+        term, plus with ``order2`` the share wx P g(x(t)) of the nonlinear
+        integral, where ``gx`` is ``nonlinear`` at the grid values of ``coeffs``.
         """
-        rel, wts, D, S = layout
-        if self.config.order2:
-            profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
-            Gm = self.dealias[:, None] * (self.P @ self.g.fn(profile).T)
-            return base + (D * Gm) @ wts
-        return base + S * (self.dealias * (self.P @ self.g.fn(vy)))
+        decay = self.decay_dt if dt == self.config.dt else np.exp(-self.lam * dt)
+        out = decay * coeffs + term
+        wx, _ = self.weights(dt)
+        return out if wx is None else out + wx * gx
 
-    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None):
+    def step_map(self, base, dt, gy):
+        """The variation-of-constants step map: ``base`` plus wy P g(xhat(t + dt)),
+        with ``gy`` the ``nonlinear`` values of the iterate at the step's end.
+
+        At order one g is frozen at the iterate across the step; with
+        ``order2`` it runs linearly from g(x(t)) (inside ``base``) to the
+        iterate's.  The Picard iteration applies this map to its own output.
+        """
+        return base + self.weights(dt)[1] * gy
+
+    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None, values=None):
         """One Picard-refined step from (t, coeffs) to t + dt.
 
-        ``prepared`` is the triple ``forcing_steps`` yields for this step;
-        without it the step is integrated as a block of one.  Returns
-        (new_coeffs, iterations, distances); ``iterations`` counts
-        refinement applications after the initial frozen one, and
+        ``prepared`` is the pair ``forcing_steps`` yields for this step;
+        without it the step is integrated as a block of one.  ``values`` are
+        the grid values of ``coeffs`` if the caller holds them.  Returns
+        (new_coeffs, iterations, distances, new_values); ``iterations``
+        counts refinement applications after the initial frozen one,
         ``distances`` the successive-iterate sup distances (empty unless
-        requested).
+        requested), and ``new_values`` are the grid values of ``new_coeffs``
+        (the last sweep's synthesis).
         """
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
         if dt > cfg.dt * (1.0 + 1e-12):
             raise ValueError("step dt exceeds the configured dt")
-        if prepared is None:
-            prepared = next(self.forcing_steps([t], [dt]))
-        _, term, layout = prepared
-        base = self.base(coeffs, dt, term)
-
-        vx = coeffs @ self.E
-        radius = float(np.max(np.abs(vx)))
+        _, term = prepared if prepared is not None else next(self.forcing_steps([t], [dt]))
+        vx = coeffs @ self.E if values is None else values
+        radius = float(np.abs(vx).max())
         self._check_contraction(t, radius, dt)
 
+        # the frozen application uses g(x(t)), which order 2 also puts in the base
+        gy = self.nonlinear(vx)
+        base = self.base(coeffs, dt, term, gy)
         vy = vx
         distances = []
         for application in range(cfg.picard_max_iter + 1):
-            y = self.step_map(base, layout, dt, vx, vy)
+            y = self.step_map(base, dt, gy)
             v_new = y @ self.E
-            d = float(np.max(np.abs(v_new - vy)))
-            radius = max(radius, float(np.max(np.abs(v_new))))
+            d = float(np.abs(v_new - vy).max())
+            radius = max(radius, float(np.abs(v_new).max()))
             self._check_contraction(t, radius, dt)
             vy = v_new
-            if application == 0:
-                continue  # frozen application: seeds the iteration
-            if collect_distances:
-                distances.append(d)
-            if d <= cfg.picard_tol:
-                return y, application, distances
+            if application > 0:  # the frozen application only seeds the iteration
+                if collect_distances:
+                    distances.append(d)
+                if d <= cfg.picard_tol:
+                    return y, application, distances, vy
+            gy = self.nonlinear(vy)
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
@@ -454,9 +515,9 @@ class Stepper:
     def step_frozen(self, coeffs, t, dt=None):
         """Single application with the profile frozen at the incoming state."""
         dt = self.config.dt if dt is None else float(dt)
-        _, term, layout = next(self.forcing_steps([t], [dt]))
-        v = coeffs @ self.E
-        return self.step_map(self.base(coeffs, dt, term), layout, dt, v, v)
+        _, term = next(self.forcing_steps([t], [dt]))
+        gx = self.nonlinear(coeffs @ self.E)
+        return self.step_map(self.base(coeffs, dt, term, gx), dt, gx)
 
     def _check_contraction(self, t, radius, dt):
         factor = self.g.lipschitz(radius) * dt  # M = 1 for this semigroup
@@ -468,15 +529,15 @@ def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=
     """One application of the step map to ``x``, with the nonlinearity profile
     ending at ``iterate`` (default: ``x`` itself, the zeroth Picard iterate).
 
-    At order one the profile is frozen at ``iterate``; with ``order2`` it runs
-    linearly from ``x`` to ``iterate``.
+    At order one g is frozen at ``iterate``; with ``order2`` it runs linearly
+    from g(x) to g(iterate).
     """
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    frozen = x if iterate is None else iterate
-    _, term, layout = next(stepper.forcing_steps([t], [dt]))
-    out = stepper.step_map(stepper.base(x.coeffs, dt, term), layout, dt,
-                           x.values, frozen.values)
+    _, term = next(stepper.forcing_steps([t], [dt]))
+    gx = stepper.nonlinear(x.values)
+    gy = gx if iterate is None else stepper.nonlinear(iterate.values)
+    out = stepper.step_map(stepper.base(x.coeffs, dt, term, gx), dt, gy)
     return Field(x.basis, coeffs=out)
 
 
@@ -485,7 +546,7 @@ def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
     """Picard-refined step; returns (field, iterations[, distances])."""
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    coeffs, iterations, distances = stepper.step(x.coeffs, t, dt, collect_distances)
+    coeffs, iterations, distances, _ = stepper.step(x.coeffs, t, dt, collect_distances)
     out = Field(x.basis, coeffs=coeffs)
     if collect_distances:
         return out, iterations, distances
@@ -511,10 +572,12 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blown_up = False
     blowup_time = None
     last = n_steps
+    values = x0.coeffs @ stepper.E
     for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt)):
         spiky[j] = prepared[0]
-        coeffs[j + 1], counts[j], _ = stepper.step(coeffs[j], stamps[j], prepared=prepared)
-        sup_trace[j + 1] = float(np.max(np.abs(coeffs[j + 1] @ stepper.E)))
+        coeffs[j + 1], counts[j], _, values = stepper.step(
+            coeffs[j], stamps[j], prepared=prepared, values=values)
+        sup_trace[j + 1] = float(np.abs(values).max())
         if sup_trace[j + 1] > config.blowup_cap:
             blown_up = True
             blowup_time = float(stamps[j + 1])
@@ -627,9 +690,9 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
     """Defect of the variation-of-constants identity between two stamps.
 
     Re-integrates the stored trajectory from stamp ``i_from`` to ``i_to``
-    with the same per-step quadrature and iterate profile the solver used,
-    and returns the sup-norm gap against the stored endpoint.  Requires
-    0 <= i_from < i_to < len(traj).
+    with the same forcing quadrature, step weights and profile of g the
+    solver used, and returns the sup-norm gap against the stored endpoint.
+    Requires 0 <= i_from < i_to < len(traj).
     """
     if not 0 <= i_from < i_to < len(traj):
         raise ValueError(f"need 0 <= i_from < i_to < {len(traj)}, "
@@ -639,11 +702,11 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
     c = traj.coeffs[i_from]
     gaps = np.diff(traj.stamps[i_from:i_to + 1])
     steps = stepper.forcing_steps(traj.stamps[i_from:i_to], gaps)
-    vx = c @ stepper.E
-    for j, dt, (_, term, layout) in zip(range(i_from, i_to), gaps, steps):
-        vy = traj.coeffs[j + 1] @ stepper.E
-        c = stepper.step_map(stepper.base(c, dt, term), layout, dt, vx, vy)
-        vx = vy
+    gx = stepper.nonlinear(c @ stepper.E)
+    for j, dt, (_, term) in zip(range(i_from, i_to), gaps, steps):
+        gy = stepper.nonlinear(traj.coeffs[j + 1] @ stepper.E)
+        c = stepper.step_map(stepper.base(c, dt, term, gx), dt, gy)
+        gx = gy
     gap = (c - traj.coeffs[i_to]) @ stepper.E
     return float(np.max(np.abs(gap)))
 

@@ -306,6 +306,24 @@ def test_kp_identity_rhs_is_max_cloud_norm(basis):
     assert kp == pytest.approx(expected, rel=1e-12)
 
 
+def test_kp_honours_p_and_rejects_a_disagreeing_cfg(basis):
+    from aalab.signals import FunctionSignal, reciprocal_sine_value
+    cloud = cp.PointCloud(np.random.default_rng(9).standard_normal((2, basis.grid + 1)))
+
+    def rhs(values):
+        peak = float(np.max(np.abs(values)))
+        return FunctionSignal(lambda t, peak=peak: (1.0 + reciprocal_sine_value(t)) * peak)
+
+    values = []
+    for p in (1.0, 2.0, 4.0):
+        kp = cp.uniform_stepanov_bound(rhs, cloud, p)
+        assert kp == cp.uniform_stepanov_bound(rhs, cloud, p, StepanovConfig(p=p))
+        values.append(kp)
+    assert values[0] < values[1] < values[2]  # windowed L^p norms grow with p here
+    with pytest.raises(ValueError):
+        cp.uniform_stepanov_bound(rhs, cloud, 2.0, StepanovConfig(p=1.0))
+
+
 def test_kp_bounded_modulation_envelope(basis):
     from aalab.signals import FunctionSignal, reciprocal_sine_value
     rng = np.random.default_rng(7)

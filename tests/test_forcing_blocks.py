@@ -1,11 +1,14 @@
-"""The blocked forcing precompute against the per-step forcing integral.
+"""The blocked forcing precompute and the step kernel against per-step oracles.
 
-The oracle below integrates each step's forcing on its own: look up the
+The forcing oracle integrates each step's forcing on its own: look up the
 step's breakpoints, lay out its quadrature, evaluate H at its nodes and
-contract.  Blocking changes no arithmetic, so every check is exact equality,
-not a tolerance.
+contract.  The step-map oracle writes the nonlinear half of the step from
+the basis alone, with the closed-form weights of the exact semigroup.
+Blocking, the shared base and the single synthesis per sweep change no
+arithmetic, so every check is exact equality, not a tolerance.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from aalab.signals import SpikeTrainSpec
 
 
 def oracle_forcing_step(stepper, t, dt):
-    """(spiky, term, layout) of the step [t, t + dt], integrated on its own."""
+    """(spiky, term) of the step [t, t + dt], integrated on its own."""
     forcing, cfg = stepper.forcing, stepper.config
     bps = forcing.breakpoints(t, t + dt)
     if bps.size == 0 and dt == cfg.dt:
@@ -29,23 +32,39 @@ def oracle_forcing_step(stepper, t, dt):
         rel = pts - t
     D = np.exp(-np.outer(stepper.lam, dt - rel))
     term = 0.0 if forcing.is_zero else (D * forcing.mode_values(t + rel)) @ wts
-    return bps.size > 0, term, (rel, wts, D, D @ wts)
+    return bps.size > 0, term
 
 
-def oracle_step_map(basis, g, order2, base, layout, dt, vx, vy):
-    """``base`` plus the nonlinear half of the step integral, written from the
-    basis alone: g on the iterate profile, projected and cut to the lowest
-    2K/3 modes (dealiasing), integrated on the step's layout."""
-    rel, wts, D, S = layout
+def oracle_weights(basis, dt):
+    """w1 = int_0^dt e^{-lam (dt - s)} ds and w2 = the same with the factor
+    s / dt, in closed form from the eigenvalues; w2 = dt phi2(-lam dt), its
+    Taylor series (18 terms, Horner) below lam dt = 1 against cancellation."""
+    lam = basis.eigenvalues
+    z = lam * dt
+    w1 = -np.expm1(-z) / lam
+    series = np.zeros_like(z)
+    for k in reversed(range(18)):
+        series = series * -z + 1.0 / math.factorial(k + 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (z + np.expm1(-z)) / (z * z)
+    return w1, dt * np.where(z < 1.0, series, closed)
+
+
+def oracle_step_map(basis, g, order2, base, dt, vx, vy):
+    """``base`` (T(dt) x + forcing term) plus the nonlinear half of the step
+    integral, written from the basis alone: g projected and cut to the
+    lowest 2K/3 modes (dealiasing), frozen at ``vy`` or, with ``order2``,
+    linear in time from g(vx) to g(vy), integrated exactly against the
+    semigroup kernel."""
     k_active = max(1, (2 * basis.modes) // 3)
+    w1, w2 = oracle_weights(basis, dt)
+    Gy = basis.project(g.fn(vy))
+    Gy[k_active:] = 0.0
     if order2:
-        profile = vx[None, :] + (rel / dt)[:, None] * (vy - vx)[None, :]
-        G = basis.project(g.fn(profile).T)
-        G[k_active:] = 0.0
-        return base + (D * G) @ wts
-    G = basis.project(g.fn(vy))
-    G[k_active:] = 0.0
-    return base + S * G
+        Gx = basis.project(g.fn(vx))
+        Gx[k_active:] = 0.0
+        return (base + (w1 - w2) * Gx) + w2 * Gy
+    return base + w1 * Gy
 
 
 def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
@@ -56,7 +75,7 @@ def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     coeffs, sup, counts, spiky = [x0.coeffs], [x0.sup_norm()], [], []
     for j in range(n_steps):
         prepared = oracle_forcing_step(stepper, stamps[j], config.dt)
-        c, k, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
+        c, k, _, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
         coeffs.append(c)
         sup.append(float(np.max(np.abs(c @ stepper.E))))
         counts.append(k)
@@ -134,9 +153,9 @@ def test_mild_residual_bit_identical(ref_basis, forcings, order2):
     E = ref_basis.eigenfunctions
     c = traj.coeffs[0].copy()
     for j, dt in enumerate(gaps):
-        _, term, layout = oracle_forcing_step(stepper, traj.stamps[j], dt)
+        _, term = oracle_forcing_step(stepper, traj.stamps[j], dt)
         base = np.exp(-ref_basis.eigenvalues * dt) * c + term
-        c = oracle_step_map(ref_basis, cubic, order2, base, layout, dt,
+        c = oracle_step_map(ref_basis, cubic, order2, base, dt,
                             traj.coeffs[j] @ E, traj.coeffs[j + 1] @ E)
     expected = float(np.max(np.abs((c - traj.coeffs[-1]) @ E)))
     assert sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg) == expected
@@ -149,19 +168,20 @@ def check_single_steps(basis, forcing, t, order2):
     x = sv.reference_initial_field(basis, "mode1", 0.5)
     y = sv.reference_initial_field(basis, "mode2", 0.2)
     stepper = sv.Stepper(basis, cubic, forcing, cfg)
-    _, term, layout = oracle_forcing_step(stepper, t, 1e-3)
+    _, term = oracle_forcing_step(stepper, t, 1e-3)
     base = np.exp(-basis.eigenvalues * 1e-3) * x.coeffs + term
-    expected = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, x.values, x.values)
+    expected = oracle_step_map(basis, cubic, order2, base, 1e-3, x.values, x.values)
     assert np.array_equal(sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg).coeffs, expected)
-    expected = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, x.values, y.values)
+    expected = oracle_step_map(basis, cubic, order2, base, 1e-3, x.values, y.values)
     assert np.array_equal(
         sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg, iterate=y).coeffs, expected)
     v = x.coeffs @ basis.eigenfunctions
-    frozen = oracle_step_map(basis, cubic, order2, base, layout, 1e-3, v, v)
+    frozen = oracle_step_map(basis, cubic, order2, base, 1e-3, v, v)
     assert np.array_equal(stepper.step_frozen(x.coeffs, t), frozen)
     oracle = stepper.step(x.coeffs, t, prepared=oracle_forcing_step(stepper, t, 1e-3))
     out = stepper.step(x.coeffs, t)
     assert np.array_equal(out[0], oracle[0]) and out[1] == oracle[1]
+    assert np.array_equal(out[3], out[0] @ basis.eigenfunctions)
 
 
 @pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])

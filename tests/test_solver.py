@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from aalab import solver as sv
 from aalab import spectral as sp
@@ -36,6 +39,35 @@ def test_nonlinearity_registry_flags():
     assert logi.fn(1.0) == 0.0
     with pytest.raises(KeyError):
         sv.make_nonlinearity("unknown")
+
+
+def _cube_samples():
+    """Magnitudes from subnormal through overflow-free, with their negatives."""
+    rng = np.random.default_rng(11)
+    r = 10.0 ** rng.uniform(-110.0, 100.0, 20000) * rng.uniform(1.0, 10.0, 20000)
+    r = np.concatenate([r, [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-103,
+                            1e-105, 1.0, 3.0, 5.6e102]])
+    return np.concatenate([r, -r])
+
+
+@pytest.mark.parametrize("ident, sign", [("cubic", -1.0), ("cubic-unstable", 1.0)])
+def test_cube_odd_and_within_one_ulp(ident, sign):
+    g = sv.make_nonlinearity(ident)
+    r = _cube_samples()
+    out = g.fn(r)
+    assert np.array_equal(g.fn(-r), -out)
+    ref = sign * r ** 3
+    assert np.all(np.abs(out - ref) <= np.spacing(np.abs(ref)))
+    # outputs in the subnormal range are among the samples
+    assert np.any((out != 0.0) & (np.abs(out) < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("ident, sign", [("cubic", -1.0), ("cubic-unstable", 1.0)])
+def test_cube_overflow_gives_signed_inf(ident, sign):
+    g = sv.make_nonlinearity(ident)
+    with np.errstate(over="ignore"):
+        out = g.fn(np.array([1e103, -1e103, 1e200, -np.inf, np.inf]))
+    assert np.array_equal(out, sign * np.array([np.inf, -np.inf, np.inf, -np.inf, np.inf]))
 
 
 def test_growth_margin_below_lambda1(basis):
@@ -118,6 +150,81 @@ def test_richardson_order_two_with_refinement(basis, cubic, reference_forcing):
             for dt in (4e-3, 2e-3, 1e-3)]
     assert 3.2 < errs[0] / errs[1] < 5.0
     assert 3.2 < errs[1] / errs[2] < 5.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form step weights and the work per sweep
+# ---------------------------------------------------------------------------
+
+def _quad_weights(lam, dt):
+    """w1 and w2 of every eigenvalue by adaptive quadrature of their integrals."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        w1 = [quad(lambda s, l=l: np.exp(-l * (dt - s)), 0.0, dt,
+                   epsabs=0.0, epsrel=2e-14, limit=200)[0] for l in lam]
+        w2 = [quad(lambda s, l=l: np.exp(-l * (dt - s)) * s / dt, 0.0, dt,
+                   epsabs=0.0, epsrel=2e-14, limit=200)[0] for l in lam]
+    return np.array(w1), np.array(w2)
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.mark.parametrize("dt", [1e-3 / 16, 1e-3, 4e-3])
+def test_etd_weights_match_quadrature(ref_basis, dt):
+    lam = ref_basis.eigenvalues
+    q1, q2 = _quad_weights(lam, dt)
+    w1, w2 = sv.etd_weights(lam, dt)
+    assert _rel_err(w1, q1) < 1e-13 and _rel_err(w2, q2) < 1e-13
+    # the cached weights of a stepper, dealiasing folded in
+    active = max(1, (2 * ref_basis.modes) // 3)
+    for order2 in (False, True):
+        stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
+                             config=sv.SolverConfig(dt=dt, order2=order2))
+        wx, wy = stepper.weights(dt)
+        assert not np.any(wy[active:])
+        if order2:
+            assert not np.any(wx[active:])
+            assert _rel_err(wx[:active], (q1 - q2)[:active]) < 1e-13
+            assert _rel_err(wy[:active], q2[:active]) < 1e-13
+        else:
+            assert wx is None
+            assert _rel_err(wy[:active], q1[:active]) < 1e-13
+
+
+@pytest.mark.parametrize("gap", [7.3e-4, 1e-3 * (1.0 - 2.0 ** -40)])
+def test_weights_for_a_shorter_gap(ref_basis, gap):
+    q1, q2 = _quad_weights(ref_basis.eigenvalues, gap)
+    active = max(1, (2 * ref_basis.modes) // 3)
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
+                         config=sv.SolverConfig(dt=1e-3, order2=True))
+    wx, wy = stepper.weights(gap)
+    assert _rel_err(wx[:active], (q1 - q2)[:active]) < 1e-13
+    assert _rel_err(wy[:active], q2[:active]) < 1e-13
+
+
+def _counting_cubic(shapes):
+    cubic = sv.make_nonlinearity("cubic")
+
+    def fn(r):
+        shapes.append(np.shape(r))
+        return cubic.fn(r)
+
+    return sv.NonlinearitySpec("cubic", fn, cubic.lipschitz)
+
+
+@pytest.mark.parametrize("order2", [False, True])
+def test_solve_evaluates_g_once_per_sweep_on_grid_vectors(basis, reference_forcing, order2):
+    """g sees only (N + 1)-vectors, once per Picard sweep: at order 2 the
+    frozen application reuses g(x(t)) that the step's base holds."""
+    shapes = []
+    traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
+                    sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2),
+                    _counting_cubic(shapes), reference_forcing)
+    sweeps = int(np.sum(traj.picard_counts)) + len(traj.picard_counts)  # frozen ones count
+    assert set(shapes) == {(basis.grid + 1,)}
+    assert len(shapes) == sweeps
 
 
 # ---------------------------------------------------------------------------
