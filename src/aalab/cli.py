@@ -73,7 +73,7 @@ def cmd_simulate(args):
     start = time.time()
     traj = solve(x0, cfg, nonlinearity, forcing)
     wall = time.time() - start
-    save_trajectory(traj, outdir, scenario.snapshot_stride())
+    save_trajectory(traj, outdir)
 
     lines = _manifest_header("simulate", scenario.values)
     lines.append(f"config_file = {path}")

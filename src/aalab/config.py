@@ -40,7 +40,6 @@ DEFAULTS = {
     "initial.profile": "mode1",
     "initial.amplitude": "1.0",
     "output.dir": "out/run",
-    "output.snapshot_stride": "0",
 }
 
 ENV_PREFIX = "AALAB_"
@@ -156,10 +155,6 @@ class Scenario:
                                            self._float("initial.amplitude"))
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def snapshot_stride(self):
-        stride = self._int("output.snapshot_stride")
-        return None if stride == 0 else stride
 
 
 def load_scenario(path, environ=None):

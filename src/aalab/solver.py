@@ -41,7 +41,7 @@ import numpy as np
 from .quadrature import quadrature_nodes, gauss_nodes
 from .signals import (FunctionSignal, SpikeTrainSignal, StepanovConfig,
                       constant_signal, reciprocal_sine_signal, stepanov_norm)
-from .spectral import Field, SpectralBasis, field_from_function, load_field_csv, save_field_csv
+from .spectral import Field, SpectralBasis, field_from_function, save_field_csv
 from .util import fmt15
 
 
@@ -715,15 +715,22 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_trajectory(traj, outdir, snapshot_stride=None):
-    """Write trace.csv, strided field snapshots, and an index manifest."""
+def save_trajectory(traj, outdir):
+    """Write the whole trajectory to trajectory.npz, which load_trajectory
+    reads, plus trace.csv, about 400 field snapshots and trajectory.txt for
+    people to read."""
     os.makedirs(outdir, exist_ok=True)
+    b = traj.basis
+    np.savez(os.path.join(outdir, "trajectory.npz"),
+             basis=np.array([b.length, b.modes, b.grid], dtype=float),
+             stamps=traj.stamps, coeffs=traj.coeffs, sup_trace=traj.sup_trace,
+             picard_counts=traj.picard_counts, spiky=traj.spiky,
+             blown_up=traj.blown_up,
+             blowup_time=np.nan if traj.blowup_time is None else traj.blowup_time)
     snap_dir = os.path.join(outdir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     n = len(traj.stamps)
-    if snapshot_stride is None:
-        snapshot_stride = max(1, (n - 1) // 400)
-    idx = list(range(0, n, snapshot_stride))
+    idx = list(range(0, n, max(1, (n - 1) // 400)))
     if idx[-1] != n - 1:
         idx.append(n - 1)
     with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
@@ -737,42 +744,26 @@ def save_trajectory(traj, outdir, snapshot_stride=None):
             save_field_csv(traj.field(i), os.path.join(snap_dir, fname))
             fh.write(f"{i},{fmt15(traj.stamps[i])},snapshots/{fname}\n")
     with open(os.path.join(outdir, "trajectory.txt"), "w", encoding="utf-8") as fh:
-        b = traj.basis
         fh.write(f"basis.L = {fmt15(b.length)}\n")
         fh.write(f"basis.K = {b.modes}\n")
         fh.write(f"basis.N = {b.grid}\n")
         fh.write(f"stamps = {n}\n")
         fh.write(f"dt = {fmt15(traj.dt)}\n")
-        fh.write(f"snapshot_stride = {snapshot_stride}\n")
         fh.write(f"blown_up = {traj.blown_up}\n")
         if traj.blowup_time is not None:
             fh.write(f"blowup_time = {fmt15(traj.blowup_time)}\n")
 
 
 def load_trajectory(outdir):
-    """Rebuild a (snapshot-resolution) Trajectory from a saved directory."""
-    meta = {}
-    with open(os.path.join(outdir, "trajectory.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, val = line.split("=", 1)
-                meta[key.strip()] = val.strip()
-    basis = SpectralBasis(length=float(meta["basis.L"]), modes=int(meta["basis.K"]),
-                          grid=int(meta["basis.N"]))
-    stamps = []
-    fields = []
-    with open(os.path.join(outdir, "snapshots.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            _, t, fname = line.strip().split(",")
-            stamps.append(float(t))
-            fields.append(load_field_csv(os.path.join(outdir, fname), basis))
-    coeffs = np.stack([f.coeffs for f in fields])
-    sup = np.array([f.sup_norm() for f in fields])
-    blowup_time = float(meta["blowup_time"]) if "blowup_time" in meta else None
-    return Trajectory(basis, np.asarray(stamps), coeffs, sup,
-                      blown_up=meta.get("blown_up") == "True",
-                      blowup_time=blowup_time)
+    """Rebuild the saved Trajectory, every field exactly, from trajectory.npz."""
+    with np.load(os.path.join(outdir, "trajectory.npz"), allow_pickle=False) as z:
+        length, modes, grid = z["basis"]
+        blowup_time = float(z["blowup_time"])
+        return Trajectory(SpectralBasis(length=length, modes=int(modes), grid=int(grid)),
+                          z["stamps"], z["coeffs"], z["sup_trace"], z["picard_counts"],
+                          blown_up=bool(z["blown_up"]),
+                          blowup_time=None if np.isnan(blowup_time) else blowup_time,
+                          spiky=z["spiky"])
 
 
 def reference_initial_field(basis, profile="mode1", amplitude=1.0):

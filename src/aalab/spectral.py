@@ -199,29 +199,3 @@ def save_field_csv(f, path):
         fh.write("xi,value\n")
         for x, v in zip(b.xi, f.values):
             fh.write(f"{format(x, '.15g')},{format(v, '.15g')}\n")
-
-
-def load_field_csv(path, basis=None):
-    """Read a field written by save_field_csv; rebuilds the basis if needed."""
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                for token in line.lstrip("# ").split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = val
-                continue
-            if not line or line.startswith("xi"):
-                continue
-            a, b = line.split(",")
-            rows.append((float(a), float(b)))
-    data = np.asarray(rows, dtype=float)
-    if basis is None:
-        basis = SpectralBasis(length=float(meta["L"]), modes=int(meta["K"]),
-                              grid=int(meta["N"]))
-    if data.shape[0] != basis.grid + 1:
-        raise ValueError(f"{path}: {data.shape[0]} rows for a grid of {basis.grid + 1} nodes")
-    return Field(basis, values=data[:, 1])

@@ -5,7 +5,8 @@ import pytest
 
 from aalab import cli
 from aalab import config as cfgmod
-from aalab.solver import load_trajectory
+from aalab.compactness import range_compactness_report
+from aalab.solver import load_trajectory, solve
 
 
 def run_cli(args, capsys):
@@ -223,8 +224,45 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     out_b = tmp_path / "b"
     run_cli(["simulate", "--config", "decay", "--out", str(out_a)], capsys)
     run_cli(["simulate", "--config", "decay", "--out", str(out_b)], capsys)
+    assert (out_a / "trajectory.npz").read_bytes() == (out_b / "trajectory.npz").read_bytes()
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "snapshots.csv").read_bytes() == (out_b / "snapshots.csv").read_bytes()
     for name in sorted(os.listdir(out_a / "snapshots")):
         assert (out_a / "snapshots" / name).read_bytes() == \
             (out_b / "snapshots" / name).read_bytes()
+
+
+def test_readme_cli_sequence_on_reference(tmp_path, capsys, monkeypatch):
+    """The README's simulate/diagnose sequence on a shortened reference run:
+    every step exits 0, and diagnose works on the solved states themselves."""
+    monkeypatch.setenv("AALAB_SOLVER__T", "3")
+    out_u, out_v = str(tmp_path / "u"), str(tmp_path / "v")
+    assert run_cli(["simulate", "--config", "reference", "--out", out_u], capsys)[0] == 0
+    monkeypatch.setenv("AALAB_INITIAL__AMPLITUDE", "0.4")
+    assert run_cli(["simulate", "--config", "reference", "--out", out_v], capsys)[0] == 0
+    monkeypatch.delenv("AALAB_INITIAL__AMPLITUDE")
+
+    code, out, err = run_cli(["diagnose", "compactness", out_u], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("PASS")
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("reference"),
+                                    environ={"AALAB_SOLVER__T": "3"})
+    basis = scenario.basis()
+    traj = solve(scenario.initial_field(basis), scenario.solver_config(),
+                 scenario.nonlinearity(), scenario.forcing(basis))
+    report = range_compactness_report(traj, [float(r[1]) for r in rows[:3]], strides=(2, 1))
+    assert [int(r[2]) for r in rows] == report.counts.ravel().tolist()
+
+    for args in (["energy", out_u, out_v], ["subvariant", out_u, out_v],
+                 ["uc-modulus", out_u]):
+        code, out, err = run_cli(["diagnose", *args], capsys)
+        assert code == 0, (args, err)
+        assert "PASS" in out
+
+
+def test_diagnose_without_trajectory_npz_exits_one(tmp_path, capsys):
+    (tmp_path / "trace.csv").write_text("t,sup_norm\n0,1\n")
+    code, _, err = run_cli(["diagnose", "compactness", str(tmp_path)], capsys)
+    assert code == 1
+    assert "trajectory.npz" in err

@@ -429,17 +429,29 @@ def test_translation_extension_span_guard(basis):
 # persistence
 # ---------------------------------------------------------------------------
 
+def assert_same_trajectory(loaded, traj):
+    assert loaded.basis.compatible(traj.basis)
+    for name in ("stamps", "coeffs", "sup_trace", "picard_counts", "spiky"):
+        assert np.array_equal(getattr(loaded, name), getattr(traj, name)), name
+    assert loaded.blown_up == traj.blown_up
+    assert loaded.blowup_time == traj.blowup_time
+
+
 def test_trajectory_save_load_round_trip(tmp_path, basis, cubic, reference_forcing):
-    traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
-                    sv.SolverConfig(dt=1e-3, horizon=0.5), cubic, reference_forcing)
-    outdir = tmp_path / "run"
-    sv.save_trajectory(traj, str(outdir), snapshot_stride=50)
-    loaded = sv.load_trajectory(str(outdir))
-    assert loaded.basis.compatible(basis)
-    assert not loaded.blown_up
-    for i, stamp in enumerate(loaded.stamps):
-        j = traj.index_at(stamp)
-        assert np.max(np.abs(loaded.coeffs[i] - traj.coeffs[j])) < 1e-12
+    # t0 = 2.4 runs into the level-1 spike support on [2.5, 3.5]
+    forced = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
+                      sv.SolverConfig(dt=1e-3, horizon=0.2, order2=True), cubic,
+                      reference_forcing, t0=2.4)
+    assert forced.spiky_steps > 0
+    sv.save_trajectory(forced, str(tmp_path / "forced"))
+    assert_same_trajectory(sv.load_trajectory(str(tmp_path / "forced")), forced)
+
+    blowup = sv.solve(sv.reference_initial_field(basis, "mode1", 5.0),
+                      sv.SolverConfig(dt=1e-4, horizon=1.0, blowup_cap=10.0),
+                      sv.make_nonlinearity("cubic-unstable"))
+    assert blowup.blown_up
+    sv.save_trajectory(blowup, str(tmp_path / "blowup"))
+    assert_same_trajectory(sv.load_trajectory(str(tmp_path / "blowup")), blowup)
 
 
 def test_restrict_and_index(basis):
