@@ -17,6 +17,7 @@ All evaluations are deterministic and signals are immutable once built.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 import warnings
 
 import numpy as np
@@ -111,19 +112,24 @@ def level_half_width(level):
     return 0.5 / (level * level)
 
 
-def _level_index_range(level, lo, hi):
-    """First and last k with the center 3^level (2k + 1) in [lo, hi]
-    (elementwise for arrays; an empty range has last < first)."""
-    base = 3.0 ** level
-    return np.ceil((lo / base - 1.0) / 2.0), np.floor((hi / base - 1.0) / 2.0)
-
-
 def level_centers(level, lo, hi):
     """All bump centers of a level inside [lo, hi] (odd multiples of 3^level)."""
-    k_lo, k_hi = _level_index_range(level, lo, hi)
+    base = 3.0 ** level
+    k_lo = math.ceil((lo / base - 1.0) / 2.0)
+    k_hi = math.floor((hi / base - 1.0) / 2.0)
     if k_hi < k_lo:
         return np.empty(0)
-    return 3.0 ** level * (2.0 * np.arange(int(k_lo), int(k_hi) + 1) + 1.0)
+    return base * (2.0 * np.arange(k_lo, k_hi + 1) + 1.0)
+
+
+def level_breakpoints(level, lo, hi):
+    """Support edges and centers (c - w, c, c + w) of a level's bumps meeting
+    [lo, hi], w the half-width."""
+    w = level_half_width(level)
+    centers = level_centers(level, lo - w, hi + w)
+    if not centers.size:
+        return centers
+    return np.concatenate([centers - w, centers, centers + w])
 
 
 def spike_level_value(spec, level, t):
@@ -158,33 +164,10 @@ def spike_train_value(spec, t):
     return out if out.ndim else float(out)
 
 
-def spike_train_breakpoints(spec, lo, hi, max_level=None):
+def spike_train_breakpoints(spec, lo, hi):
     """Support edges and centers of every bump meeting [lo, hi]."""
-    pts = []
-    top = spec.n_max if max_level is None else max_level
-    for level in range(1, top + 1):
-        w = level_half_width(level)
-        centers = level_centers(level, lo - w, hi + w)
-        if centers.size:
-            pts.append(centers - w)
-            pts.append(centers)
-            pts.append(centers + w)
-    if not pts:
-        return np.empty(0)
-    return np.concatenate(pts)
-
-
-def spike_train_has_breakpoints(spec, lo, hi):
-    """Elementwise: whether ``spike_train_breakpoints(spec, lo, hi)`` is nonempty,
-    i.e. whether some bump's support meets [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    hit = np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
-    for level in range(1, spec.n_max + 1):
-        w = level_half_width(level)
-        k_lo, k_hi = _level_index_range(level, lo - w, hi + w)
-        hit |= k_hi >= k_lo
-    return hit
+    return np.concatenate([level_breakpoints(level, lo, hi)
+                           for level in range(1, spec.n_max + 1)])
 
 
 def reciprocal_sine_value(t):
@@ -220,11 +203,6 @@ class Signal:
     def breakpoints(self, lo, hi):
         return np.empty(0)
 
-    def has_breakpoints(self, lo, hi):
-        """Per interval [lo[i], hi[i]]: whether ``breakpoints`` reports any point."""
-        return np.array([self.breakpoints(a, b).size > 0 for a, b in zip(lo, hi)],
-                        dtype=bool)
-
     def require_span(self, lo, hi):
         if lo < self.span[0] or hi > self.span[1]:
             raise SpanError(
@@ -252,11 +230,6 @@ class FunctionSignal(Signal):
         if self._breakpoint_fn is None:
             return np.empty(0)
         return np.asarray(self._breakpoint_fn(lo, hi), dtype=float)
-
-    def has_breakpoints(self, lo, hi):
-        if self._breakpoint_fn is None:
-            return np.zeros(np.shape(lo), dtype=bool)
-        return super().has_breakpoints(lo, hi)
 
 
 class SampledSignal(Signal):
@@ -322,9 +295,6 @@ class SpikeTrainSignal(Signal):
     def breakpoints(self, lo, hi):
         return spike_train_breakpoints(self.spec, lo, hi)
 
-    def has_breakpoints(self, lo, hi):
-        return spike_train_has_breakpoints(self.spec, lo, hi)
-
 
 class SpikeLevelSignal(Signal):
     """A single level of the spike train (registry id ``beta``)."""
@@ -338,9 +308,7 @@ class SpikeLevelSignal(Signal):
         return spike_level_value(self.spec, self.level, t)
 
     def breakpoints(self, lo, hi):
-        w = level_half_width(self.level)
-        centers = level_centers(self.level, lo - w, hi + w)
-        return np.concatenate([centers - w, centers, centers + w])
+        return level_breakpoints(self.level, lo, hi)
 
 
 def bump_signal(spec=None):
@@ -545,11 +513,9 @@ class TranslationTestReport:
     threshold: float
     consistent: bool
     verdict: str
-    limit_candidate: Signal | None = None
-    limit_distances: np.ndarray | None = None
 
 
-def aa_translation_test(f, ladder, cfg, windows, limit_candidate=None):
+def aa_translation_test(f, ladder, cfg, windows):
     """Fill the pairwise translation-distance matrix over a shift ladder.
 
     Verdict is "recurrence-consistent" when the tail maxima shrink
@@ -582,19 +548,9 @@ def aa_translation_test(f, ladder, cfg, windows, limit_candidate=None):
     consistent = shrinking and tail[-1] <= cfg.threshold
     verdict = "recurrence-consistent" if consistent else "inconclusive"
 
-    limit_distances = None
-    if limit_candidate is not None:
-        limit_distances = np.array([
-            max(sp_translation_distance(f, limit_candidate, s, t, cfg.p, cfg.nodes)
-                for t in windows)
-            for s in shifts
-        ])
-
     return TranslationTestReport(shifts=shifts, windows=windows, p=cfg.p,
                                  distances=d, tail=tail, threshold=cfg.threshold,
-                                 consistent=consistent, verdict=verdict,
-                                 limit_candidate=limit_candidate,
-                                 limit_distances=limit_distances)
+                                 consistent=consistent, verdict=verdict)
 
 
 def power_shift_ladder(count=5, start=1):

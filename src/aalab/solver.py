@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import math
 import os
 import re
+import zipfile
 
 import numpy as np
 
@@ -203,14 +204,6 @@ class ForcingSpec:
                 pts.append(np.asarray(sig.breakpoints(lo, hi), dtype=float))
         return np.concatenate(pts) if pts else np.empty(0)
 
-    def has_breakpoints(self, lo, hi):
-        """Per interval [lo[i], hi[i]]: whether ``breakpoints`` reports any point."""
-        hit = np.zeros(np.shape(lo), dtype=bool)
-        for sig in (self.bounded, self.spiky):
-            if sig is not None:
-                hit |= sig.has_breakpoints(lo, hi)
-        return hit
-
     def sup_signal(self):
         """The scalar signal t -> sup-norm of H(t), for windowed norms."""
         if self.is_zero:
@@ -262,8 +255,8 @@ class SolverConfig:
 class Trajectory:
     """A solved path: stamps, mode coefficients, sup-norm trace, step metadata.
 
-    ``spiky`` marks the steps whose forcing reported breakpoints, and which
-    were therefore integrated on their own subdivided quadrature layout.
+    ``spiky`` marks the steps with a forcing breakpoint strictly inside them,
+    which were therefore integrated on their own subdivided quadrature layout.
     """
 
     basis: SpectralBasis
@@ -398,9 +391,11 @@ class Stepper:
         Yields one (spiky, term) pair per step: ``term`` is (D * H(t + rel)) @
         wts on the step's quadrature layout (rel, wts, D), the forcing part of
         the step integral (0.0 for a zero forcing), and ``spiky`` tells
-        whether the forcing reported breakpoints on the step, which then gets
-        its own subdivided layout.  Steps are computed FORCING_BLOCK at a
-        time, so a consumer that stops early wastes at most one block.
+        whether a forcing breakpoint lies strictly inside the step, which is
+        then split there and gets its own subdivided layout.  Every other
+        step of the configured length shares the cached layout.  Steps are
+        computed FORCING_BLOCK at a time, so a consumer that stops early
+        wastes at most one block.
         """
         starts = np.asarray(starts, dtype=float)
         gaps = np.broadcast_to(np.asarray(gaps, dtype=float), starts.shape)
@@ -409,21 +404,21 @@ class Stepper:
             yield from self._forcing_block(starts[block], gaps[block])
 
     def _forcing_block(self, starts, gaps):
+        if self.forcing.is_zero:
+            for _ in range(starts.size):
+                yield False, 0.0
+            return
         cfg = self.config
         ends = starts + gaps
-        zero = self.forcing.is_zero
-        spiky = (np.zeros(starts.size, dtype=bool) if zero
-                 else self.forcing.has_breakpoints(starts, ends))
-        if zero:
-            for j in range(starts.size):
-                yield spiky[j], 0.0
-            return
-        bps = self.forcing.breakpoints(starts[0], ends[-1]) if spiky.any() else np.empty(0)
+        bps = np.sort(self.forcing.breakpoints(starts[0], ends[-1]))
+        # spiky: a breakpoint strictly inside the step, the only kind
+        # quadrature_nodes subdivides at
+        spiky = (np.searchsorted(bps, starts, side="right")
+                 < np.searchsorted(bps, ends, side="left"))
         own_layout = spiky | (gaps != cfg.dt)
         own, smooth = np.flatnonzero(own_layout), np.flatnonzero(~own_layout)
         layouts = {}
         for j in own:
-            # quadrature_nodes keeps only the breakpoints inside the step
             pts, wts = quadrature_nodes(starts[j], ends[j], bps if spiky[j] else (),
                                         cfg.forcing_nodes)
             rel = pts - starts[j]
@@ -755,15 +750,26 @@ def save_trajectory(traj, outdir):
 
 
 def load_trajectory(outdir):
-    """Rebuild the saved Trajectory, every field exactly, from trajectory.npz."""
-    with np.load(os.path.join(outdir, "trajectory.npz"), allow_pickle=False) as z:
-        length, modes, grid = z["basis"]
-        blowup_time = float(z["blowup_time"])
-        return Trajectory(SpectralBasis(length=length, modes=int(modes), grid=int(grid)),
-                          z["stamps"], z["coeffs"], z["sup_trace"], z["picard_counts"],
-                          blown_up=bool(z["blown_up"]),
-                          blowup_time=None if np.isnan(blowup_time) else blowup_time,
-                          spiky=z["spiky"])
+    """Rebuild the saved Trajectory, every field exactly, from trajectory.npz.
+
+    Raises FileNotFoundError if there is no archive and ValueError if it
+    cannot be read as one (truncated, not a zip archive, members missing).
+    """
+    path = os.path.join(outdir, "trajectory.npz")
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with z:
+            length, modes, grid = z["basis"]
+            blowup_time = float(z["blowup_time"])
+            return Trajectory(SpectralBasis(length=length, modes=int(modes), grid=int(grid)),
+                              z["stamps"], z["coeffs"], z["sup_trace"], z["picard_counts"],
+                              blown_up=bool(z["blown_up"]),
+                              blowup_time=None if np.isnan(blowup_time) else blowup_time,
+                              spiky=z["spiky"])
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path} is not a readable trajectory archive") from exc
 
 
 def reference_initial_field(basis, profile="mode1", amplitude=1.0):

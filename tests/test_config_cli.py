@@ -6,7 +6,7 @@ import pytest
 from aalab import cli
 from aalab import config as cfgmod
 from aalab.compactness import range_compactness_report
-from aalab.solver import load_trajectory, solve
+from aalab.solver import load_trajectory, save_trajectory, solve
 
 
 def run_cli(args, capsys):
@@ -153,16 +153,24 @@ def test_simulate_reference_scenario_smoke(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
-    # T = 2.6 reaches into the level-1 bump on [2.5, 3.5]
+    # T = 2.6 reaches into the level-1 bump on [2.5, 3.5]; at dt = 7e-4, off
+    # the spike lattice, its left edge falls inside a step
     monkeypatch.setenv("AALAB_SOLVER__T", "2.6")
+    monkeypatch.setenv("AALAB_SOLVER__DT", "7e-4")
     out_dir = tmp_path / "ref"
     code, _, _ = run_cli(["simulate", "--config", "reference", "--out", str(out_dir)], capsys)
     assert code == 0
     scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("reference"))
     forcing = scenario.forcing(scenario.basis())
-    dt = scenario.solver_config().dt
-    expected = sum(forcing.breakpoints(t, t + dt).size > 0 for t in dt * np.arange(2600))
-    assert 0 < expected < 2600
+    cfg = scenario.solver_config()
+    n = round(cfg.horizon / cfg.dt)
+
+    def inside(t):
+        bps = forcing.breakpoints(t, t + cfg.dt)
+        return np.any((bps > t) & (bps < t + cfg.dt))
+
+    expected = sum(inside(t) for t in cfg.dt * np.arange(n))
+    assert 0 < expected < n
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
     assert f"spiky_steps = {expected}" in manifest
 
@@ -266,3 +274,23 @@ def test_diagnose_without_trajectory_npz_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["diagnose", "compactness", str(tmp_path)], capsys)
     assert code == 1
     assert "trajectory.npz" in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-zip"])
+def test_diagnose_on_unreadable_archive_exits_one(tmp_path, capsys, damage):
+    saved = tmp_path / "saved"
+    scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("decay"))
+    basis = scenario.basis()
+    save_trajectory(solve(scenario.initial_field(basis), scenario.solver_config(),
+                          scenario.nonlinearity(), scenario.forcing(basis)), str(saved))
+    archive = (saved / "trajectory.npz").read_bytes()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "trajectory.npz").write_bytes(archive[:1000] if damage == "truncated"
+                                         else b"t,sup_norm\n0,1\n")
+    code, _, err = run_cli(["diagnose", "compactness", str(bad)], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(bad / "trajectory.npz") in lines[0]
+    assert "not a readable trajectory archive" in lines[0]

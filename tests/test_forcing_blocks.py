@@ -1,11 +1,12 @@
 """The blocked forcing precompute and the step kernel against per-step oracles.
 
 The forcing oracle integrates each step's forcing on its own: look up the
-step's breakpoints, lay out its quadrature, evaluate H at its nodes and
-contract.  The step-map oracle writes the nonlinear half of the step from
-the basis alone, with the closed-form weights of the exact semigroup.
-Blocking, the shared base and the single synthesis per sweep change no
-arithmetic, so every check is exact equality, not a tolerance.
+step's breakpoints, keep those strictly inside it, lay out its quadrature
+(split at them, or the cached layout if there are none), evaluate H at its
+nodes and contract.  The step-map oracle writes the nonlinear half of the
+step from the basis alone, with the closed-form weights of the exact
+semigroup.  Blocking, the shared base and the single synthesis per sweep
+change no arithmetic, so every check is exact equality, not a tolerance.
 """
 
 import math
@@ -17,22 +18,28 @@ import pytest
 from aalab import solver as sv
 from aalab import spectral as sp
 from aalab.quadrature import gauss_nodes, quadrature_nodes
-from aalab.signals import SpikeTrainSpec
+from aalab.signals import SpikeTrainSpec, sine_signal
+
+
+def inside_breakpoints(forcing, t, dt):
+    """The step's own breakpoint query, cut to the open step (t, t + dt)."""
+    bps = forcing.breakpoints(t, t + dt)
+    return bps[(bps > t) & (bps < t + dt)]
 
 
 def oracle_forcing_step(stepper, t, dt):
     """(spiky, term) of the step [t, t + dt], integrated on its own."""
     forcing, cfg = stepper.forcing, stepper.config
-    bps = forcing.breakpoints(t, t + dt)
-    if bps.size == 0 and dt == cfg.dt:
+    inside = inside_breakpoints(forcing, t, dt)
+    if inside.size == 0 and dt == cfg.dt:
         x, w = gauss_nodes(cfg.forcing_nodes)
         rel, wts = 0.5 * cfg.dt * (x + 1.0), 0.5 * cfg.dt * w
     else:
-        pts, wts = quadrature_nodes(t, t + dt, bps, cfg.forcing_nodes)
+        pts, wts = quadrature_nodes(t, t + dt, inside, cfg.forcing_nodes)
         rel = pts - t
     D = np.exp(-np.outer(stepper.lam, dt - rel))
     term = 0.0 if forcing.is_zero else (D * forcing.mode_values(t + rel)) @ wts
-    return bps.size > 0, term
+    return inside.size > 0, term
 
 
 def oracle_weights(basis, dt):
@@ -96,25 +103,34 @@ def assert_same_march(traj, oracle):
 @pytest.fixture(scope="module")
 def forcings(ref_basis):
     h0 = sp.field_from_function(ref_basis, lambda x: np.sin(np.pi * x))
-    return {mode: sv.ForcingSpec.reference(ref_basis, h0, SpikeTrainSpec(n_max=4),
-                                           boundary_mode=mode)
-            for mode in ("profiled", "literal")}
+    out = {mode: sv.ForcingSpec.reference(ref_basis, h0, SpikeTrainSpec(n_max=4),
+                                          boundary_mode=mode)
+           for mode in ("profiled", "literal")}
+    out["sine"] = sv.ForcingSpec.modulated(ref_basis, sine_signal(), h0)
+    return out
 
 
 # Each window holds a spike centre of the given top level (levels 1..4 share
-# the centre 81) and the right edge of its level-1 bump, so it mixes
-# subdivided, in-support and smooth steps.  650 steps: not a block multiple.
+# the centre 81) and the right edge of its level-1 bump.  At dt = 1e-3 the
+# level-1 and level-2 edges and centres fall on stamps, so only the windows
+# at 27 and 81 (level-3 edges 27 +- 1/18) hold subdivided steps.  The sine
+# forcing's zero crossings, every 0.5, fall inside steps of dt = 7e-4, so
+# the function-signal breakpoints are covered too.  650 and 929 steps: not
+# block multiples.
 @pytest.mark.parametrize("center", [3.0, 9.0, 27.0, 81.0])
-@pytest.mark.parametrize("mode", ["profiled", "literal"])
+@pytest.mark.parametrize("mode", ["profiled", "literal", "sine"])
 @pytest.mark.parametrize("order2", [False, True])
 def test_march_bit_identical_to_per_step_forcing(ref_basis, forcings, center, mode, order2):
-    assert 650 % sv.FORCING_BLOCK != 0
-    cfg = sv.SolverConfig(dt=1e-3, horizon=0.65, order2=order2)
+    dt = 7e-4 if mode == "sine" else 1e-3
+    cfg = sv.SolverConfig(dt=dt, horizon=0.65, order2=order2)
+    assert round(cfg.horizon / dt) % sv.FORCING_BLOCK != 0
     x0 = sv.reference_initial_field(ref_basis, "mode1", 0.5)
     cubic = sv.make_nonlinearity("cubic")
     t0 = center - 0.1
     traj = sv.solve(x0, cfg, cubic, forcings[mode], t0=t0)
-    assert 0 < traj.spiky_steps < len(traj.picard_counts)
+    subdivided = mode == "sine" or center in (27.0, 81.0)
+    assert (traj.spiky_steps > 0) == subdivided
+    assert traj.spiky_steps < len(traj.picard_counts)
     assert_same_march(traj, oracle_solve(x0, cfg, cubic, forcings[mode], t0=t0))
 
 
@@ -126,7 +142,7 @@ def test_blowup_mid_block_bit_identical(ref_basis, forcings):
     traj = sv.solve(x0, cfg, cubic, forcings["profiled"], t0=2.3)
     assert traj.blown_up
     assert len(traj.picard_counts) % sv.FORCING_BLOCK != 0
-    assert 0 < traj.spiky_steps < len(traj.picard_counts)
+    assert traj.spiky_steps == 0  # the level-1 edges and centre fall on stamps
     assert_same_march(traj, oracle_solve(x0, cfg, cubic, forcings["profiled"], t0=2.3))
 
 
@@ -195,14 +211,17 @@ def test_single_steps_order2_bit_identical(ref_basis, forcings, t):
 
 
 def test_spiky_steps_match_per_step_breakpoints(run_main, ref_parts):
-    """The block classification marks exactly the steps whose own breakpoint
-    query is nonempty, over the whole T = 50 reference run."""
+    """The block classification marks exactly the steps with a breakpoint of
+    their own query strictly inside them, over the whole T = 50 reference
+    run: none in the first 12 000 steps, where every level-1 and level-2
+    edge and centre falls on a stamp."""
     traj, _ = run_main
     forcing, dt = ref_parts["forcing"], 1e-3
-    per_step = np.array([forcing.breakpoints(t, t + dt).size > 0 for t in traj.stamps[:-1]])
+    per_step = np.array([inside_breakpoints(forcing, t, dt).size > 0
+                         for t in traj.stamps[:-1]])
     assert np.array_equal(traj.spiky, per_step)
-    assert traj.spiky[:12000].sum() == 2004
-    assert traj.spiky[:6000].sum() == 1002
+    assert traj.spiky[:12000].sum() == 0
+    assert traj.spiky_steps == 6
 
 
 def test_zero_forcing_queries_and_evaluates_nothing(ref_basis, monkeypatch):
@@ -211,7 +230,7 @@ def test_zero_forcing_queries_and_evaluates_nothing(ref_basis, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("zero forcing was queried")
 
-    for name in ("breakpoints", "has_breakpoints", "mode_values"):
+    for name in ("breakpoints", "mode_values"):
         monkeypatch.setattr(forcing, name, forbidden)
     traj = sv.solve(sv.reference_initial_field(ref_basis, "mode1", 0.5),
                     sv.SolverConfig(dt=1e-3, horizon=0.2), sv.make_nonlinearity("cubic"),
@@ -235,9 +254,9 @@ def test_forcing_evaluated_once_per_block(ref_parts, monkeypatch):
     n = 3 * sv.FORCING_BLOCK + 7
     stamps = 2.2 + 1e-3 * np.arange(n)
     assert sum(1 for _ in stepper.forcing_steps(stamps, 1e-3)) == n
+    # one breakpoint query and one evaluation per block, smooth or not
     assert calls["mode_values"] == 4
-    # only the last two blocks meet the level-1 bump on [2.5, 3.5]
-    assert calls["breakpoints"] == 2
+    assert calls["breakpoints"] == 4
 
 
 def _peak_solve_bytes(x0, cfg, nonlinearity, forcing):

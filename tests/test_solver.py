@@ -438,9 +438,10 @@ def assert_same_trajectory(loaded, traj):
 
 
 def test_trajectory_save_load_round_trip(tmp_path, basis, cubic, reference_forcing):
-    # t0 = 2.4 runs into the level-1 spike support on [2.5, 3.5]
+    # t0 = 2.4 runs into the level-1 spike support on [2.5, 3.5]; at dt = 7e-4
+    # its left edge falls inside a step
     forced = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
-                      sv.SolverConfig(dt=1e-3, horizon=0.2, order2=True), cubic,
+                      sv.SolverConfig(dt=7e-4, horizon=0.2, order2=True), cubic,
                       reference_forcing, t0=2.4)
     assert forced.spiky_steps > 0
     sv.save_trajectory(forced, str(tmp_path / "forced"))
