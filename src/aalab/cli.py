@@ -1,6 +1,7 @@
 """Command-line experiment driver: ``simulate``, ``signal``, ``diagnose``.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 blow-up detected.
+Exit codes: 0 success, 1 configuration or usage error, 2 blow-up detected,
+3 a diagnostic printed a FAIL verdict.
 All quantitative output is CSV with 15-significant-digit floats; each run
 directory gets exactly one manifest echoing the effective configuration, so
 every verdict can be recomputed from the emitted files alone.
@@ -212,7 +213,7 @@ def cmd_diagnose(args):
         lines.append(f"trajdirs = {';'.join(args.trajdirs)}")
         lines.append(f"verdict = {verdict}")
         _write_manifest(outdir, lines)
-    return 0
+    return 3 if verdict == "FAIL" else 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ from .signals import FunctionSignal, StepanovConfig, stepanov_norm
 # Point clouds and covers
 # ---------------------------------------------------------------------------
 
+#: Rows per block of a distance computation (about 0.5 MB of grid values).
+ROW_BLOCK = 256
+
+
 class PointCloud:
     """A finite set of states sharing one basis (or plain scalars).
 
@@ -39,6 +43,8 @@ class PointCloud:
             raise ValueError("point cloud must be nonempty")
         if metric not in ("sup", "L2"):
             raise ValueError(f"unknown metric {metric!r}")
+        if weights is not None and np.any(np.asarray(weights) < 0):
+            raise ValueError("L2 weights must be nonnegative")
         self.points = points
         self.metric = metric
         self.weights = weights
@@ -52,13 +58,29 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    def distances_to(self, index):
-        """Distances from every point to the point at ``index``."""
-        diff = self.points - self.points[index]
-        if self.metric == "sup":
-            return np.max(np.abs(diff), axis=1)
-        w = self.weights if self.weights is not None else np.ones(diff.shape[1])
-        return np.sqrt((diff * diff) @ w)
+    def distances_to(self, index, rows=None):
+        """Distances from the points ``rows`` (indices; all points by default)
+        to the point at ``index``.
+
+        Computed ROW_BLOCK rows at a time, so the temporaries stay in cache
+        and do not grow with the cloud.  Each distance is reduced along its
+        own row, so it is the same float whichever rows are asked for (a
+        matrix-vector product would not promise that).
+        """
+        point = self.points[index]
+        w = self.weights if self.weights is not None else 1.0
+        count = len(self) if rows is None else len(rows)
+        out = np.empty(count)
+        for b in range(0, count, ROW_BLOCK):
+            block = slice(b, b + ROW_BLOCK)
+            diff = self.points[block if rows is None else rows[block]] - point
+            if self.metric == "sup":
+                out[block] = np.max(np.abs(diff, out=diff), axis=1)
+            else:
+                diff *= diff
+                diff *= w
+                out[block] = np.sum(diff, axis=1)
+        return out if self.metric == "sup" else np.sqrt(out)
 
     def diameter(self):
         worst = 0.0
@@ -81,20 +103,57 @@ def _check_eps(eps):
         raise ValueError(f"eps must be positive, got {eps!r}")
 
 
+def _rounding_margin(cloud):
+    """Relative margin that absorbs the rounding of computed distances.
+
+    With u the unit roundoff, a computed sup distance is the exact one times
+    (1 + e), |e| <= u: one rounded subtraction per coordinate, and the max is
+    exact.  An L2 distance over d coordinates sums d weighted, rounded squares
+    (relative error at most (d + 3) u in any summation order) and takes a
+    square root, so |e| <= (d / 2 + 3) u, as long as no square underflows or
+    overflows (distances between about 1e-150 and 1e150).  The pruning test of
+    ``_farthest_point_traversal`` needs a margin of about 2 |e| + u; four
+    times the bound on |e| leaves room to spare.
+    """
+    u = np.finfo(float).eps / 2.0
+    err = u if cloud.metric == "sup" else (cloud.points.shape[1] / 2.0 + 3.0) * u
+    return 4.0 * err
+
+
 def _farthest_point_traversal(cloud, eps):
     """Farthest-point order from index 0, stopped at cover radius <= eps/2.
 
     Returns the centers in promotion order and ``radii``, where ``radii[k]``
     is the cover radius of the first k + 1 centers.  The order does not
     depend on eps, so the greedy cover at any larger eps is a prefix.
+
+    A promoted center computes only the distances the triangle inequality
+    leaves open (Elkan, 2003).  ``nearest[i]`` is the computed distance from
+    point x_i to its center c_j, j = ``owner[i]``.  If the new center c has
+    d(c, c_j) >= 2 d(c_j, x_i), then d(c, x_i) >= d(c, c_j) - d(c_j, x_i)
+    >= d(c_j, x_i), so c cannot bring x_i closer and its row is skipped;
+    only the distances from c to the earlier centers are needed to tell.
+    The test is applied with ``_rounding_margin`` on top of the factor 2,
+    so that every skipped point provably has a computed distance to c of at
+    least its computed ``nearest``: the minimum leaves that value unchanged,
+    ties included, and ``nearest``, the argmax and the radii are bit for bit
+    those of computing every row.
     """
-    centers = [0]
     nearest = cloud.distances_to(0)
+    owner = np.zeros(len(cloud), dtype=np.intp)  # index into centers
+    centers = [0]
     radii = [float(np.max(nearest))]
+    slack = 2.0 * (1.0 + _rounding_margin(cloud))
     while radii[-1] > eps / 2.0:
         candidate = int(np.argmax(nearest))  # argmax returns the lowest tied index
+        to_centers = cloud.distances_to(candidate, centers)
+        rows = np.flatnonzero(to_centers[owner] < slack * nearest)
+        dist = cloud.distances_to(candidate, rows)
+        closer = dist < nearest[rows]
+        moved = rows[closer]
+        nearest[moved] = dist[closer]
+        owner[moved] = len(centers)
         centers.append(candidate)
-        nearest = np.minimum(nearest, cloud.distances_to(candidate))
         radii.append(float(np.max(nearest)))
     return centers, np.array(radii)
 

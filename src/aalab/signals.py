@@ -26,6 +26,11 @@ from .quadrature import quadrature_nodes
 
 #: Window length of all windowed norms (fixed by definition).
 WINDOW = 1.0
+#: Windows per batched signal evaluation in ``stepanov_norm``; bounds the
+#: scratch memory of a scan.
+SCAN_BLOCK = 128
+#: Run starts per block of ``uniform_continuity_modulus``.
+SAMPLE_BLOCK = 256
 
 
 class SpanError(ValueError):
@@ -434,11 +439,29 @@ def stepanov_norm(f, cfg):
     """Scan sup over t of the windowed L^p norm on [t_min, t_max].
 
     The supremum over the real line is approached from below: only the
-    configured range is scanned, at the configured stride.
+    configured range is scanned, at the configured stride.  Each window is
+    integrated exactly as ``window_lp_norm`` integrates it, bit for bit, but
+    the breakpoints are queried once for the whole scan and ``f`` is
+    evaluated once per SCAN_BLOCK windows.
     """
-    f.require_span(cfg.t_min, cfg.t_max + WINDOW)
     ts = np.arange(cfg.t_min, cfg.t_max + 0.5 * cfg.stride, cfg.stride)
-    return float(np.max([window_lp_norm(f, t, cfg.p, cfg.nodes) for t in ts]))
+    f.require_span(cfg.t_min, max(cfg.t_max, ts[-1]) + WINDOW)
+    bps = np.sort(f.breakpoints(ts[0], ts[-1] + WINDOW))
+    # the breakpoints strictly inside each window, the only ones
+    # quadrature_nodes keeps
+    first = np.searchsorted(bps, ts, side="right")
+    last = np.searchsorted(bps, ts + WINDOW, side="left")
+    norms = []
+    for b0 in range(0, ts.size, SCAN_BLOCK):
+        layouts = [quadrature_nodes(ts[j], ts[j] + WINDOW, bps[first[j]:last[j]], cfg.nodes)
+                   for j in range(b0, min(b0 + SCAN_BLOCK, ts.size))]
+        vals = magnitude(f.eval(np.concatenate([pts for pts, _ in layouts]))) ** cfg.p
+        col = 0
+        for _, wts in layouts:
+            acc = float(np.dot(wts, vals[col:col + wts.size]))
+            norms.append(max(acc, 0.0) ** (1.0 / cfg.p))
+            col += wts.size
+    return float(np.max(norms))
 
 
 class WindowFunction:
@@ -574,32 +597,6 @@ def sqrt2_shift_ladder(count=6):
 # Uniform continuity
 # ---------------------------------------------------------------------------
 
-def _sliding_pair_spread(values, width):
-    """Max over index pairs |i - j| <= width of the max-abs component gap.
-
-    Sparse-table doubling: O(n d log width) with a handful of numpy passes.
-    """
-    v = values if values.ndim == 2 else values[:, None]
-    n = v.shape[0]
-    width = min(int(width), n - 1)
-    if width <= 0:
-        return 0.0
-    window = width + 1
-    block = 1 << int(np.floor(np.log2(window)))
-    hi = v.copy()
-    lo = v.copy()
-    step = 1
-    while step < block:
-        hi = np.maximum(hi[:-step], hi[step:])
-        lo = np.minimum(lo[:-step], lo[step:])
-        step *= 2
-    off = window - block
-    if off > 0:
-        hi = np.maximum(hi[:len(hi) - off], hi[off:])
-        lo = np.minimum(lo[:len(lo) - off], lo[off:])
-    return float(np.max(hi - lo))
-
-
 def uniform_continuity_modulus(x, deltas, span=None, oversample=4):
     """Table of (delta, omega(delta)) with omega the sampled modulus.
 
@@ -614,9 +611,10 @@ def uniform_continuity_modulus(x, deltas, span=None, oversample=4):
     if isinstance(x, SampledSignal):
         lo = x.span[0] if span is None else max(span[0], x.span[0])
         hi = x.span[1] if span is None else min(span[1], x.span[1])
-        mask = (x.times >= lo) & (x.times <= hi)
-        times = x.times[mask]
-        values = x.values[mask]
+        keep = slice(np.searchsorted(x.times, lo, side="left"),
+                     np.searchsorted(x.times, hi, side="right"))  # a view, not a copy
+        times = x.times[keep]
+        values = x.values[keep]
         spacing = float(np.max(np.diff(times)))
     else:
         if span is None:
@@ -630,8 +628,31 @@ def uniform_continuity_modulus(x, deltas, span=None, oversample=4):
             f"smallest delta {deltas[0]:g} is below twice the sample spacing "
             f"{spacing:g}; sample more densely"
         )
-    table = np.empty((deltas.size, 2))
-    for i, delta in enumerate(deltas):
-        width = int(np.floor(delta / spacing + 1e-9))
-        table[i] = (delta, _sliding_pair_spread(values, width))
-    return table
+    # omega(delta) is the largest spread over runs of `run` consecutive
+    # samples.  Run starts are taken SAMPLE_BLOCK at a time, each block with
+    # the halo of the longest run, so the temporaries stay in cache.  Within
+    # a block a sparse table is carried across the sorted deltas: upper[i]
+    # and lower[i] are the componentwise max and min of the samples
+    # i .. i + level - 1, and two overlapping level-runs make up each run.
+    # Max and min are exact, so the blocking does not change a bit.
+    v = values if values.ndim == 2 else values[:, None]
+    n = v.shape[0]
+    runs = [min(int(np.floor(delta / spacing + 1e-9)), n - 1) + 1 for delta in deltas]
+    omega = np.zeros(deltas.size)
+    for b0 in range(0, n, SAMPLE_BLOCK):
+        upper = lower = v[b0:b0 + SAMPLE_BLOCK + runs[-1] - 1]
+        m, level = upper.shape[0], 1
+        for i, run in enumerate(runs):
+            if run > m:
+                break
+            if run == 1:  # a single sample spreads nothing
+                continue
+            while 2 * level <= run:
+                upper = np.maximum(upper[:-level], upper[level:])
+                lower = np.minimum(lower[:-level], lower[level:])
+                level *= 2
+            off = run - level
+            spread = np.maximum(upper[:m - level + 1 - off], upper[off:])
+            spread -= np.minimum(lower[:m - level + 1 - off], lower[off:])
+            omega[i] = np.maximum(omega[i], np.max(spread))
+    return np.column_stack([deltas, omega])

@@ -357,6 +357,7 @@ class Stepper:
         dt = self.config.dt
         self.decay_dt = np.exp(-self.lam * dt)
         self._weights_dt = self._fold(*etd_weights(self.lam, dt))
+        self._off_dt = None  # (gap, decay, weights) of the last gap other than dt
         x, w = gauss_nodes(self.config.forcing_nodes)
         rel = 0.5 * dt * (x + 1.0)
         self._default_rel = rel
@@ -375,11 +376,19 @@ class Stepper:
         The step integral of g is wx P g(x(t)) + wy P g(xhat(t + dt)): at
         order one wx is None and wy = w1 (see ``etd_weights``); with
         ``order2``, g runs linearly between the ends and (wx, wy) =
-        (w1 - w2, w2).  Cached for the configured dt, computed for others.
+        (w1 - w2, w2).  Cached for the configured dt and for the last other dt.
         """
+        return self._factors(dt)[1]
+
+    def _factors(self, dt):
+        """(exp(-lam dt), weights(dt)), cached for the configured dt and, in
+        one entry, for the last other gap: the Picard sweeps of a shortened
+        step, and the base and step map of a ``mild_residual`` step, reuse it."""
         if dt == self.config.dt:
-            return self._weights_dt
-        return self._fold(*etd_weights(self.lam, dt))
+            return self.decay_dt, self._weights_dt
+        if self._off_dt is None or self._off_dt[0] != dt:
+            self._off_dt = (dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)))
+        return self._off_dt[1:]
 
     def nonlinear(self, values):
         """Mode coefficients of g at the grid ``values``: P g(values)."""
@@ -448,9 +457,8 @@ class Stepper:
         term, plus with ``order2`` the share wx P g(x(t)) of the nonlinear
         integral, where ``gx`` is ``nonlinear`` at the grid values of ``coeffs``.
         """
-        decay = self.decay_dt if dt == self.config.dt else np.exp(-self.lam * dt)
+        decay, (wx, _) = self._factors(dt)
         out = decay * coeffs + term
-        wx, _ = self.weights(dt)
         return out if wx is None else out + wx * gx
 
     def step_map(self, base, dt, gy):

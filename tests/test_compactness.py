@@ -81,13 +81,19 @@ def test_greedy_deterministic():
 
 
 class CountingCloud(cp.PointCloud):
-    """A PointCloud that counts its distance rows."""
+    """A PointCloud that records where its distance queries start and how
+    many distances they compute."""
 
-    calls = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queried = []
+        self.rows = 0
 
-    def distances_to(self, index):
-        self.calls += 1
-        return super().distances_to(index)
+    def distances_to(self, index, rows=None):
+        out = super().distances_to(index, rows)
+        self.queried.append(index)
+        self.rows += out.size
+        return out
 
 
 def test_cover_ladder_is_one_traversal():
@@ -95,8 +101,97 @@ def test_cover_ladder_is_one_traversal():
     cloud = CountingCloud(rng.uniform(0, 1, size=(200, 3)))
     report = cp.cover_ladder(cloud, [0.05, 0.2, 0.1])
     assert report.counts[-1] > report.counts[0] > 1
-    # one distance row per center of the finest cover, none repeated per eps
-    assert cloud.calls == report.counts.max()
+    # queries start only at centers of the finest cover, none repeated per
+    # eps: the first center's full row, then per promotion one query to the
+    # earlier centers and one to the rows the triangle inequality leaves open
+    assert sorted(set(cloud.queried)) == sorted(report.centers[-1])
+    assert len(cloud.queried) == 2 * report.counts.max() - 1
+
+
+def unpruned_traversal(cloud, eps):
+    """The farthest-point traversal computing every distance row."""
+    centers = [0]
+    nearest = cloud.distances_to(0)
+    radii = [float(np.max(nearest))]
+    while radii[-1] > eps / 2.0:
+        candidate = int(np.argmax(nearest))
+        centers.append(candidate)
+        nearest = np.minimum(nearest, cloud.distances_to(candidate))
+        radii.append(float(np.max(nearest)))
+    return centers, np.array(radii)
+
+
+def closed_orbit(seed, states=2001):
+    """A closed curve of grid states entered at a seeded shift, with a
+    decaying offset: the orbits the diagnose benchmark covers."""
+    rng = np.random.default_rng(seed)
+    basis = sp.SpectralBasis(1.0, 64, 256)
+    stamps = 0.01 * np.arange(states)
+    k = np.arange(1, 5)
+    coeffs = np.zeros((states, basis.modes))
+    coeffs[:, :4] = (0.2 / k ** 2 * rng.uniform(0.98, 1.02, 4)
+                     * np.cos(np.outer(stamps + rng.uniform(0.0, 2.0 * np.pi), k)))
+    coeffs[:, :4] += rng.uniform(0.05, 0.1, 4) * np.exp(-np.outer(stamps, rng.uniform(0.1, 0.5, 4)))
+    sup = np.max(np.abs(coeffs @ basis.eigenfunctions), axis=1)
+    return sv.Trajectory(basis, stamps, coeffs, sup)
+
+
+def assert_traversals_equal(cloud, eps):
+    centers, radii = cp._farthest_point_traversal(cloud, eps)
+    want_centers, want_radii = unpruned_traversal(cloud, eps)
+    assert centers == want_centers
+    assert np.array_equal(radii, want_radii)
+
+
+@pytest.mark.parametrize("metric", ["sup", "L2"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pruned_traversal_exact_on_closed_orbit(metric, stride):
+    cloud = CountingCloud.from_trajectory(closed_orbit(7), metric=metric, stride=stride)
+    centers, _ = cp._farthest_point_traversal(cloud, 0.05)
+    assert len(centers) > 20
+    assert cloud.rows < 0.5 * len(cloud) * len(centers)  # the pruning does prune
+    assert_traversals_equal(cloud, 0.05)
+
+
+@pytest.mark.parametrize("metric", ["sup", "L2"])
+def test_pruned_traversal_exact_with_duplicates_and_ties(metric):
+    rng = np.random.default_rng(11)
+    lattice = rng.integers(0, 4, size=(60, 3)).astype(float)  # many exact distance ties
+    pts = np.concatenate([lattice, lattice[::3], lattice[:5]])  # and duplicate points
+    weights = np.array([1.0, 0.25, 4.0]) if metric == "L2" else None
+    cloud = cp.PointCloud(pts[rng.permutation(len(pts))], metric=metric, weights=weights)
+    assert_traversals_equal(cloud, 1e-9)
+    assert cp.greedy_cover(cloud, 1e-9)[1] == 0.0
+
+
+@pytest.mark.parametrize("metric", ["sup", "L2"])
+def test_pruned_traversal_exact_on_rounded_near_tie(metric):
+    # Centers -2.5 and 1.0 own x = 0.0 (reach 1.0); the third center
+    # c = -(1 - 2^-53) computes d(c, 1.0) = fl(2 - 2^-53) = 2.0, exactly twice
+    # the reach, yet d(c, x) = 1 - 2^-53 < 1.0 moves x.  Only the rounding
+    # margin keeps x's row.
+    c = -(1.0 - 2.0 ** -53)
+    assert 1.0 - c == 2.0 and 0.0 - c < 1.0
+    pts = np.array([-2.5, c, 0.0, 1.0])
+    cloud = cp.PointCloud(pts, metric=metric, weights=np.ones(1) if metric == "L2" else None)
+    centers, radii = cp._farthest_point_traversal(cloud, 1e-9)
+    assert centers == [0, 3, 1, 2]
+    assert radii[2] == 1.0 - 2.0 ** -53
+    assert_traversals_equal(cloud, 1e-9)
+
+
+def test_l2_distances_do_not_depend_on_the_rows_asked():
+    rng = np.random.default_rng(4)
+    cloud = cp.PointCloud(rng.standard_normal((300, 257)), metric="L2",
+                          weights=rng.uniform(0.5, 1.0, 257))
+    full = cloud.distances_to(17)
+    for rows in (np.arange(1), np.arange(5, 12), rng.choice(300, 77, replace=False)):
+        assert np.array_equal(cloud.distances_to(17, rows), full[rows])
+
+
+def test_point_cloud_rejects_negative_weights():
+    with pytest.raises(ValueError, match="weights"):
+        cp.PointCloud(np.zeros((3, 2)), metric="L2", weights=np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("metric", ["sup", "L2"])

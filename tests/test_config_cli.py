@@ -269,6 +269,22 @@ def test_readme_cli_sequence_on_reference(tmp_path, capsys, monkeypatch):
         assert "PASS" in out
 
 
+def test_diagnose_fail_verdict_exits_three(tmp_path, capsys, monkeypatch):
+    """A 100-step unforced cubic run whose cover counts change with density."""
+    for key, value in (("BASIS__K", "8"), ("BASIS__N", "32"), ("SOLVER__DT", "1e-2"),
+                       ("SOLVER__T", "1.0"), ("NONLINEARITY__ID", "cubic"),
+                       ("INITIAL__AMPLITUDE", "0.5")):
+        monkeypatch.setenv(f"AALAB_{key}", value)
+    out_dir = str(tmp_path / "run")
+    assert run_cli(["simulate", "--config", "decay", "--out", out_dir], capsys)[0] == 0
+    assert len(load_trajectory(out_dir).stamps) == 101
+    code, out, _ = run_cli(["diagnose", "compactness", out_dir, "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 3
+    assert out.splitlines()[-1] == "FAIL cover counts changed across densities: 5,6,10;5,8,15"
+    assert "verdict = FAIL" in (tmp_path / "d" / "manifest.txt").read_text()
+
+
 def test_diagnose_without_trajectory_npz_exits_one(tmp_path, capsys):
     (tmp_path / "trace.csv").write_text("t,sup_norm\n0,1\n")
     code, _, err = run_cli(["diagnose", "compactness", str(tmp_path)], capsys)

@@ -177,6 +177,40 @@ def test_mild_residual_bit_identical(ref_basis, forcings, order2):
     assert sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg) == expected
 
 
+@pytest.mark.parametrize("order2", [False, True])
+def test_mild_residual_computes_each_off_dt_weight_once(ref_basis, forcings, order2, monkeypatch):
+    forcing = forcings["literal"]
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2)
+    cubic = sv.make_nonlinearity("cubic")
+    traj = sv.solve(sv.reference_initial_field(ref_basis, "mode1", 0.5), cfg, cubic,
+                    forcing, t0=3.35)
+    gaps = np.diff(traj.stamps)
+    calls = []
+    etd_weights = sv.etd_weights
+    monkeypatch.setattr(sv, "etd_weights", lambda lam, dt: calls.append(dt) or etd_weights(lam, dt))
+    sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg)
+    # one call for the configured dt, then one per run of equal off-dt gaps
+    runs = [g for j, g in enumerate(gaps) if g != cfg.dt and (j == 0 or g != gaps[j - 1])]
+    assert 0 < len(runs) < len(gaps)
+    assert calls == [cfg.dt] + runs
+
+
+def test_off_dt_weight_cache_bit_identical(ref_basis):
+    """Steps whose gaps alternate, repeat and return to dt, each against the
+    test-local oracle."""
+    cubic = sv.make_nonlinearity("cubic")
+    stepper = sv.Stepper(ref_basis, cubic, None, sv.SolverConfig(dt=1e-3, order2=True))
+    x = sv.reference_initial_field(ref_basis, "mode1", 0.5)
+    y = sv.reference_initial_field(ref_basis, "mode2", 0.2)
+    for gap in (4e-4, 4e-4, 1e-3, 4e-4, 7e-4, 1e-3 * (1 - 2 ** -52), 7e-4):
+        base = stepper.base(x.coeffs, gap, 0.0, stepper.nonlinear(x.values))
+        got = stepper.step_map(base, gap, stepper.nonlinear(y.values))
+        expected = oracle_step_map(ref_basis, cubic, True,
+                                   np.exp(-ref_basis.eigenvalues * gap) * x.coeffs,
+                                   gap, x.values, y.values)
+        assert np.array_equal(got, expected)
+
+
 def check_single_steps(basis, forcing, t, order2):
     """step_exponential, step_frozen and step against the test-local oracles."""
     cubic = sv.make_nonlinearity("cubic")

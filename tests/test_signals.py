@@ -159,6 +159,55 @@ def test_window_norm_monotone_in_exponent(p1, p2, t):
     assert lo <= hi + 1e-10
 
 
+def sampled_orbit(states=1801, dim=5, seed=3):
+    """A vector orbit sampled at uneven times, with sign changes."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 1.0, states)) * 0.02
+    values = (np.sin(times)[:, None] * rng.standard_normal(dim)
+              + 0.1 * rng.standard_normal((states, dim)))
+    return sg.SampledSignal(times, values)
+
+
+SCAN_SIGNALS = {
+    "a": lambda: sg.resolve_signal("a", n_max=4),
+    "beta": lambda: sg.resolve_signal("beta", level=2),
+    "sin": lambda: sg.resolve_signal("sin"),
+    "bump": lambda: sg.resolve_signal("bump"),
+    "const": lambda: sg.resolve_signal("const:-1.5"),
+    "orbit": sampled_orbit,
+    "orbit-scalar": lambda: sg.SampledSignal(sampled_orbit().times,
+                                             sampled_orbit().values[:, 0]),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("name", sorted(SCAN_SIGNALS))
+def test_batched_scan_equals_window_norms(name, p):
+    sig = SCAN_SIGNALS[name]()
+    t_min = 0.3 if name.startswith("orbit") else -3.1
+    # more windows than one evaluation block, a stride that does not divide
+    # the range, and windows meeting spike centres and edges
+    cfg = sg.StepanovConfig(p=p, t_min=t_min, t_max=t_min + 20.0, stride=0.0625 * 1.5)
+    ts = np.arange(cfg.t_min, cfg.t_max + 0.5 * cfg.stride, cfg.stride)
+    assert ts.size > sg.SCAN_BLOCK
+    windows = [sg.window_lp_norm(sig, t, p, cfg.nodes) for t in ts]
+    assert sg.stepanov_norm(sig, cfg) == float(np.max(windows))
+    # every single window too, so no window hides behind the maximum
+    for t, want in zip(ts[::7], windows[::7]):
+        one = sg.StepanovConfig(p=p, t_min=t, t_max=t, stride=cfg.stride)
+        assert sg.stepanov_norm(sig, one) == want
+
+
+def test_batched_scan_past_stale_beyond_warns():
+    spec = sg.SpikeTrainSpec(n_max=2)  # exact only below |t| = 26
+    a = sg.SpikeTrainSignal(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sg.stepanov_norm(a, sg.StepanovConfig(t_min=0.0, t_max=spec.stale_beyond - 2.0))
+    with pytest.warns(sg.TruncationWarning):
+        sg.stepanov_norm(a, sg.StepanovConfig(t_min=0.0, t_max=spec.stale_beyond + 3.0))
+
+
 def test_sampled_signal_span_enforced():
     sig = sg.SampledSignal(np.linspace(0, 2, 21), np.linspace(0, 2, 21) ** 2)
     with pytest.raises(sg.SpanError):
@@ -295,6 +344,20 @@ def test_modulus_rejects_undersampled_delta():
     sig = sg.SampledSignal(np.linspace(0, 1, 11), np.zeros(11))
     with pytest.raises(ValueError):
         sg.uniform_continuity_modulus(sig, [0.05])
+
+
+def test_modulus_table_equals_per_delta_brute_force():
+    sig = sampled_orbit()
+    spacing = float(np.max(np.diff(sig.times)))
+    deltas = np.array([0.4, 3.0 * spacing, 0.13, 1e6, 0.4, 0.05])  # unsorted, repeated, huge
+    table = sg.uniform_continuity_modulus(sig, deltas)
+    assert np.array_equal(table[:, 0], np.sort(deltas))
+    n = len(sig.times)
+    for delta, omega in table:
+        width = min(int(np.floor(delta / spacing + 1e-9)), n - 1)
+        brute = max(float(np.max(np.abs(sig.values[k:] - sig.values[:n - k])))
+                    for k in range(1, width + 1))
+        assert omega == brute
 
 
 def test_modulus_vector_valued_uses_sup_metric():
