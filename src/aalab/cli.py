@@ -22,7 +22,7 @@ from .signals import (StepanovConfig, aa_translation_test, resolve_signal,
                       power_shift_ladder, sqrt2_shift_ladder, stepanov_norm,
                       uniform_continuity_modulus)
 from .solver import load_trajectory, save_trajectory, solve
-from .util import fmt15
+from .util import fmt15, replace_file
 
 
 def _resolve_config_path(name):
@@ -34,12 +34,6 @@ def _resolve_config_path(name):
         raise ConfigError(f"config not found: {name!r} (not a file, not bundled)")
 
 
-def _write_manifest(outdir, lines):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _manifest_header(kind, echo):
     lines = [f"command = {kind}",
              f"version.aalab = {__version__}",
@@ -48,13 +42,14 @@ def _manifest_header(kind, echo):
     return lines
 
 
-def _emit(text, out_path):
+def _emit(lines, out_path):
+    """Write ``lines`` to the file ``out_path``, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        replace_file(out_path, [text])
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +70,7 @@ def cmd_simulate(args):
     traj = solve(x0, cfg, nonlinearity, forcing)
     wall = time.time() - start
     save_trajectory(traj, outdir)
+    save_clock = time.time() - start - wall
 
     lines = _manifest_header("simulate", scenario.values)
     lines.append(f"config_file = {path}")
@@ -85,7 +81,8 @@ def cmd_simulate(args):
     if traj.blowup_time is not None:
         lines.append(f"blowup_time = {fmt15(traj.blowup_time)}")
     lines.append(f"wall_clock_s = {wall:.3f}")
-    _write_manifest(outdir, lines)
+    lines.append(f"save_clock_s = {save_clock:.3f}")
+    _emit(lines, os.path.join(outdir, "manifest.txt"))
 
     if traj.blown_up:
         print(f"BLOWUP at t = {fmt15(traj.blowup_time)} (cap {fmt15(cfg.blowup_cap)})")
@@ -110,16 +107,15 @@ def cmd_signal(args):
         rows = ["t,value"]
         for t in ts:
             rows.append(f"{fmt15(t)},{fmt15(sig.eval(np.float64(t)))}")
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit(rows, args.out)
         return 0
     if args.signal_cmd == "norm":
         cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=args.tmin,
                              t_max=args.tmax, stride=args.stride)
         value = stepanov_norm(sig, cfg)
-        text = ("id,p,t_min,t_max,stride,value\n"
-                f"{args.id},{fmt15(args.p)},{fmt15(args.tmin)},{fmt15(args.tmax)},"
-                f"{fmt15(args.stride)},{fmt15(value)}\n")
-        _emit(text, args.out)
+        _emit(["id,p,t_min,t_max,stride,value",
+               f"{args.id},{fmt15(args.p)},{fmt15(args.tmin)},{fmt15(args.tmax)},"
+               f"{fmt15(args.stride)},{fmt15(value)}"], args.out)
         return 0
     # aa-test
     if args.ladder == "pow3":
@@ -137,7 +133,7 @@ def cmd_signal(args):
         for m in range(len(ladder)):
             rows.append(f"{n},{m},{fmt15(ladder[n])},{fmt15(ladder[m])},"
                         f"{fmt15(report.distances[n, m])}")
-    _emit("\n".join(rows) + "\n", args.out)
+    _emit(rows, args.out)
     print(f"verdict {report.verdict} tail {','.join(fmt15(x) for x in report.tail)}")
     return 0
 
@@ -156,8 +152,7 @@ def cmd_diagnose(args):
         trace = energy_monotonicity_check(u, v, tolerance=args.tolerance)
         rows = ["t,energy_diff"]
         rows += [f"{fmt15(t)},{fmt15(e)}" for t, e in zip(trace.stamps, trace.values)]
-        _emit("\n".join(rows) + "\n",
-              os.path.join(outdir, "energy.csv") if outdir else None)
+        _emit(rows, os.path.join(outdir, "energy.csv") if outdir else None)
         if trace.passed:
             print(f"PASS max forward jump {fmt15(trace.max_forward_jump)} "
                   f"<= {fmt15(trace.tolerance)}")
@@ -174,8 +169,7 @@ def cmd_diagnose(args):
         for i, stride in enumerate(report.strides):
             for j, e in enumerate(report.epsilons):
                 rows.append(f"{stride},{fmt15(e)},{report.counts[i, j]}")
-        _emit("\n".join(rows) + "\n",
-              os.path.join(outdir, "compactness.csv") if outdir else None)
+        _emit(rows, os.path.join(outdir, "compactness.csv") if outdir else None)
         verdict = "PASS" if report.stable else "FAIL"
         print(f"{verdict} cover counts "
               f"{'stable' if report.stable else 'changed'} across densities: "
@@ -186,8 +180,7 @@ def cmd_diagnose(args):
         report = minimal_solution_select(trajs, args.functional)
         rows = ["candidate,value"]
         rows += [f"{i},{fmt15(v)}" for i, v in enumerate(report.values)]
-        _emit("\n".join(rows) + "\n",
-              os.path.join(outdir, "subvariant.csv") if outdir else None)
+        _emit(rows, os.path.join(outdir, "subvariant.csv") if outdir else None)
         gap = "" if report.parallelogram_gap is None else \
             f" parallelogram gap {fmt15(report.parallelogram_gap)}"
         print(f"PASS argmin {report.argmin} ({report.verdict}){gap}"
@@ -200,8 +193,7 @@ def cmd_diagnose(args):
         table = uniform_continuity_modulus(traj.as_signal(), deltas)
         rows = ["delta,omega"]
         rows += [f"{fmt15(d)},{fmt15(w)}" for d, w in table]
-        _emit("\n".join(rows) + "\n",
-              os.path.join(outdir, "uc_modulus.csv") if outdir else None)
+        _emit(rows, os.path.join(outdir, "uc_modulus.csv") if outdir else None)
         nondecreasing = bool(np.all(np.diff(table[:, 1]) >= -1e-15))
         verdict = "PASS" if nondecreasing else "FAIL"
         print(f"{verdict} omega table "
@@ -212,7 +204,7 @@ def cmd_diagnose(args):
         lines = _manifest_header(f"diagnose {sub}", {})
         lines.append(f"trajdirs = {';'.join(args.trajdirs)}")
         lines.append(f"verdict = {verdict}")
-        _write_manifest(outdir, lines)
+        _emit(lines, os.path.join(outdir, "manifest.txt"))
     return 3 if verdict == "FAIL" else 0
 
 

@@ -228,11 +228,13 @@ def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup"):
     two densities at every eps.
     """
     strides = np.asarray(sorted(set(int(s) for s in strides), reverse=True))
-    table = []
-    for stride in strides:
-        cloud = PointCloud.from_trajectory(traj, metric=metric, stride=int(stride))
-        table.append(cover_ladder(cloud, epsilons).counts)
-    counts = np.stack(table)
+    # One synthesis serves every stride.  Its rows may differ in the last
+    # bits from a per-stride product coeffs[::stride] @ E.
+    step = int(np.gcd.reduce(strides))
+    points = traj.coeffs[::step] @ traj.basis.eigenfunctions
+    weights = traj.basis.weights if metric == "L2" else None
+    counts = np.stack([cover_ladder(PointCloud(points[::s // step], metric, weights),
+                                    epsilons).counts for s in strides])
     stable = bool(np.all(counts[-1] == counts[-2])) if len(strides) > 1 else True
     eps_sorted = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     return CompactnessReport(epsilons=eps_sorted, strides=strides,

@@ -31,10 +31,13 @@ places the nonlinearity enters a step: the Picard iteration, the single-step
 helpers and the residual all apply the map to a base formed once per step.
 """
 
+import contextlib
 from dataclasses import dataclass, field
+import itertools
 import math
 import os
 import re
+import shutil
 import zipfile
 
 import numpy as np
@@ -43,7 +46,7 @@ from .quadrature import quadrature_nodes, gauss_nodes
 from .signals import (FunctionSignal, SpikeTrainSignal, StepanovConfig,
                       constant_signal, reciprocal_sine_signal, stepanov_norm)
 from .spectral import Field, SpectralBasis, field_from_function, save_field_csv
-from .util import fmt15
+from .util import replace_file
 
 
 #: Steps whose forcing terms are computed together.  It bounds the node and
@@ -718,43 +721,46 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
 # Persistence
 # ---------------------------------------------------------------------------
 
+#: Rows of trace.csv formatted by one % operation.
+TRACE_BLOCK = 4096
+
+
 def save_trajectory(traj, outdir):
     """Write the whole trajectory to trajectory.npz, which load_trajectory
     reads, plus trace.csv, about 400 field snapshots and trajectory.txt for
-    people to read."""
+    people to read.  Each file is created new (``util.replace_file``), and
+    the snapshots/ directory of an earlier save is deleted."""
     os.makedirs(outdir, exist_ok=True)
     b = traj.basis
-    np.savez(os.path.join(outdir, "trajectory.npz"),
+    archive = os.path.join(outdir, "trajectory.npz")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(archive)
+    np.savez(archive,
              basis=np.array([b.length, b.modes, b.grid], dtype=float),
              stamps=traj.stamps, coeffs=traj.coeffs, sup_trace=traj.sup_trace,
              picard_counts=traj.picard_counts, spiky=traj.spiky,
              blown_up=traj.blown_up,
              blowup_time=np.nan if traj.blowup_time is None else traj.blowup_time)
     snap_dir = os.path.join(outdir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        shutil.rmtree(snap_dir)
+    os.makedirs(snap_dir)
     n = len(traj.stamps)
     idx = list(range(0, n, max(1, (n - 1) // 400)))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,sup_norm\n")
-        for t, s in zip(traj.stamps, traj.sup_trace):
-            fh.write(f"{fmt15(t)},{fmt15(s)}\n")
-    with open(os.path.join(outdir, "snapshots.csv"), "w", encoding="utf-8") as fh:
-        fh.write("index,t,file\n")
-        for i in idx:
-            fname = f"snap_{i:08d}.csv"
-            save_field_csv(traj.field(i), os.path.join(snap_dir, fname))
-            fh.write(f"{i},{fmt15(traj.stamps[i])},snapshots/{fname}\n")
-    with open(os.path.join(outdir, "trajectory.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"basis.L = {fmt15(b.length)}\n")
-        fh.write(f"basis.K = {b.modes}\n")
-        fh.write(f"basis.N = {b.grid}\n")
-        fh.write(f"stamps = {n}\n")
-        fh.write(f"dt = {fmt15(traj.dt)}\n")
-        fh.write(f"blown_up = {traj.blown_up}\n")
-        if traj.blowup_time is not None:
-            fh.write(f"blowup_time = {fmt15(traj.blowup_time)}\n")
+    pairs = np.column_stack((traj.stamps, traj.sup_trace))
+    replace_file(os.path.join(outdir, "trace.csv"), itertools.chain(["t,sup_norm\n"], (
+        ("%.15g,%.15g\n" * len(block)) % tuple(block.ravel().tolist())
+        for block in np.split(pairs, range(TRACE_BLOCK, n, TRACE_BLOCK)))))
+    for i in idx:
+        save_field_csv(traj.field(i), os.path.join(snap_dir, f"snap_{i:08d}.csv"))
+    replace_file(os.path.join(outdir, "snapshots.csv"), ["index,t,file\n"] + [
+        "%d,%.15g,snapshots/snap_%08d.csv\n" % (i, t, i) for i, t in zip(idx, traj.stamps[idx])])
+    replace_file(os.path.join(outdir, "trajectory.txt"), [
+        "basis.L = %.15g\nbasis.K = %d\nbasis.N = %d\nstamps = %d\ndt = %.15g\nblown_up = %s\n"
+        % (b.length, b.modes, b.grid, n, traj.dt, traj.blown_up),
+        "" if traj.blowup_time is None else "blowup_time = %.15g\n" % traj.blowup_time])
 
 
 def load_trajectory(outdir):

@@ -13,8 +13,11 @@ decay-bound checker reports the worst observed ratio against that envelope.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .util import replace_file
 
 
 class SpectralBasis:
@@ -71,6 +74,11 @@ class SpectralBasis:
     def compatible(self, other):
         return (self.length == other.length and self.modes == other.modes
                 and self.grid == other.grid)
+
+    @cached_property
+    def csv_rows(self):
+        """Field CSV rows ``xi,value``: xi formatted, a ``%.15g`` slot per value."""
+        return "".join(f"{x:.15g},%.15g\n" for x in self.xi.tolist())
 
 
 def assemble_basis(length=1.0, modes=16, grid=None):
@@ -194,8 +202,5 @@ def spectral_tail_mass(f, first_mode):
 def save_field_csv(f, path):
     """Write (xi, value) rows with an L/K/N metadata header comment."""
     b = f.basis
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# basis L={b.length!r} K={b.modes} N={b.grid}\n")
-        fh.write("xi,value\n")
-        for x, v in zip(b.xi, f.values):
-            fh.write(f"{format(x, '.15g')},{format(v, '.15g')}\n")
+    replace_file(path, (f"# basis L={b.length!r} K={b.modes} N={b.grid}\nxi,value\n",
+                        b.csv_rows % tuple(f.values.tolist())))

@@ -152,6 +152,18 @@ def test_simulate_reference_scenario_smoke(tmp_path, capsys, monkeypatch):
     assert not traj.blown_up
 
 
+def test_simulate_manifest_records_save_clock(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AALAB_SOLVER__T", "0.05")
+    out_dir = tmp_path / "d"
+    assert run_cli(["simulate", "--config", "decay", "--out", str(out_dir)], capsys)[0] == 0
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    saves = [line for line in lines if line.startswith("save_clock_s = ")]
+    assert len(saves) == 1
+    assert float(saves[0].split(" = ")[1]) >= 0.0
+    assert lines.index(saves[0]) == lines.index(next(
+        line for line in lines if line.startswith("wall_clock_s = "))) + 1
+
+
 def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
     # T = 2.6 reaches into the level-1 bump on [2.5, 3.5]; at dt = 7e-4, off
     # the spike lattice, its left edge falls inside a step

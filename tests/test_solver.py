@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -437,22 +438,125 @@ def assert_same_trajectory(loaded, traj):
     assert loaded.blowup_time == traj.blowup_time
 
 
-def test_trajectory_save_load_round_trip(tmp_path, basis, cubic, reference_forcing):
+def _forced_order2_run(basis, cubic, forcing):
     # t0 = 2.4 runs into the level-1 spike support on [2.5, 3.5]; at dt = 7e-4
     # its left edge falls inside a step
-    forced = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
-                      sv.SolverConfig(dt=7e-4, horizon=0.2, order2=True), cubic,
-                      reference_forcing, t0=2.4)
+    return sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
+                    sv.SolverConfig(dt=7e-4, horizon=0.2, order2=True), cubic,
+                    forcing, t0=2.4)
+
+
+def _blowup_run(basis):
+    return sv.solve(sv.reference_initial_field(basis, "mode1", 5.0),
+                    sv.SolverConfig(dt=1e-4, horizon=1.0, blowup_cap=10.0),
+                    sv.make_nonlinearity("cubic-unstable"))
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan, 0.1, 1.0 / 3.0]
+
+
+def _hand_made_trajectory(basis, n=2 * sv.TRACE_BLOCK + 3, seed=0):
+    """Stamps off any dt lattice, special values in every text column, and a
+    trace longer than two formatting blocks."""
+    rng = np.random.default_rng(seed)
+    stamps = np.concatenate([[-0.0, 5e-324, 1e-300], 0.1 + np.cumsum(rng.uniform(1e-3, 1.0, n - 3))])
+    coeffs = rng.standard_normal((n, basis.modes)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    coeffs[:, :4] = np.resize(SPECIAL_VALUES[:4], (n, 4))
+    return sv.Trajectory(basis, stamps, coeffs, np.resize(SPECIAL_VALUES, n),
+                         np.ones(n - 1, dtype=int), blown_up=True, blowup_time=1e-300,
+                         spiky=np.zeros(n - 1, dtype=bool))
+
+
+def test_trajectory_save_load_round_trip(tmp_path, basis, cubic, reference_forcing):
+    forced = _forced_order2_run(basis, cubic, reference_forcing)
     assert forced.spiky_steps > 0
     sv.save_trajectory(forced, str(tmp_path / "forced"))
     assert_same_trajectory(sv.load_trajectory(str(tmp_path / "forced")), forced)
 
-    blowup = sv.solve(sv.reference_initial_field(basis, "mode1", 5.0),
-                      sv.SolverConfig(dt=1e-4, horizon=1.0, blowup_cap=10.0),
-                      sv.make_nonlinearity("cubic-unstable"))
+    blowup = _blowup_run(basis)
     assert blowup.blown_up
     sv.save_trajectory(blowup, str(tmp_path / "blowup"))
     assert_same_trajectory(sv.load_trajectory(str(tmp_path / "blowup")), blowup)
+
+
+def _fmt15(x):
+    return format(float(x), ".15g")
+
+
+def _save_text_per_value(traj, outdir):
+    """Reference writer: the text artifacts of save_trajectory written with one
+    format call per value and one write per row."""
+    b = traj.basis
+    os.makedirs(os.path.join(outdir, "snapshots"))
+    n = len(traj.stamps)
+    idx = list(range(0, n, max(1, (n - 1) // 400)))
+    if idx[-1] != n - 1:
+        idx.append(n - 1)
+    with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write("t,sup_norm\n")
+        for t, s in zip(traj.stamps, traj.sup_trace):
+            fh.write(f"{_fmt15(t)},{_fmt15(s)}\n")
+    with open(os.path.join(outdir, "snapshots.csv"), "w", encoding="utf-8") as fh:
+        fh.write("index,t,file\n")
+        for i in idx:
+            fname = f"snap_{i:08d}.csv"
+            with open(os.path.join(outdir, "snapshots", fname), "w", encoding="utf-8") as snap:
+                snap.write(f"# basis L={b.length!r} K={b.modes} N={b.grid}\n")
+                snap.write("xi,value\n")
+                for x, v in zip(b.xi, traj.field(i).values):
+                    snap.write(f"{_fmt15(x)},{_fmt15(v)}\n")
+            fh.write(f"{i},{_fmt15(traj.stamps[i])},snapshots/{fname}\n")
+    with open(os.path.join(outdir, "trajectory.txt"), "w", encoding="utf-8") as fh:
+        fh.write(f"basis.L = {_fmt15(b.length)}\n")
+        fh.write(f"basis.K = {b.modes}\n")
+        fh.write(f"basis.N = {b.grid}\n")
+        fh.write(f"stamps = {n}\n")
+        fh.write(f"dt = {_fmt15(traj.dt)}\n")
+        fh.write(f"blown_up = {traj.blown_up}\n")
+        if traj.blowup_time is not None:
+            fh.write(f"blowup_time = {_fmt15(traj.blowup_time)}\n")
+
+
+def _text_files(outdir):
+    return {os.path.relpath(os.path.join(root, f), outdir): os.path.join(root, f)
+            for root, _, files in os.walk(outdir) for f in files if f != "trajectory.npz"}
+
+
+@pytest.mark.parametrize("case", ["forced-order2", "blowup", "hand-made"])
+def test_saved_text_equals_per_value_writer(tmp_path, basis, cubic, reference_forcing, case):
+    traj = {"forced-order2": lambda: _forced_order2_run(basis, cubic, reference_forcing),
+            "blowup": lambda: _blowup_run(basis),
+            "hand-made": lambda: _hand_made_trajectory(basis)}[case]()
+    sv.save_trajectory(traj, str(tmp_path / "new"))
+    _save_text_per_value(traj, str(tmp_path / "old"))
+    new, old = _text_files(str(tmp_path / "new")), _text_files(str(tmp_path / "old"))
+    assert sorted(new) == sorted(old)
+    for name in old:
+        with open(new[name], "rb") as a, open(old[name], "rb") as b:
+            assert a.read() == b.read(), name
+    text = (tmp_path / "new" / "trajectory.txt").read_text()
+    assert ("blowup_time = " in text) == (case != "forced-order2")
+
+
+def test_resave_creates_files_new(tmp_path, basis):
+    out = tmp_path / "run"
+    sv.save_trajectory(_hand_made_trajectory(basis, n=50, seed=1), str(out))
+    os.link(out / "trace.csv", tmp_path / "old_trace.csv")
+    old = (out / "trace.csv").read_bytes()
+    sv.save_trajectory(_hand_made_trajectory(basis, n=50, seed=2), str(out))
+    assert (tmp_path / "old_trace.csv").read_bytes() == old
+    assert (out / "trace.csv").read_bytes() != old
+
+
+def test_resave_leaves_only_listed_snapshots(tmp_path, basis):
+    out = tmp_path / "run"
+    sv.save_trajectory(_hand_made_trajectory(basis, n=3001), str(out))
+    (out / "notes.txt").write_text("kept\n")
+    sv.save_trajectory(_hand_made_trajectory(basis, n=2001), str(out))
+    listed = [line.split(",")[2] for line in (out / "snapshots.csv").read_text().splitlines()[1:]]
+    assert len(listed) == 401
+    assert sorted(f"snapshots/{f}" for f in os.listdir(out / "snapshots")) == sorted(listed)
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 def test_restrict_and_index(basis):
