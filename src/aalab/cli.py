@@ -22,7 +22,7 @@ from .signals import (StepanovConfig, aa_translation_test, resolve_signal,
                       power_shift_ladder, sqrt2_shift_ladder, stepanov_norm,
                       uniform_continuity_modulus)
 from .solver import load_trajectory, save_trajectory, solve
-from .util import fmt15, replace_file
+from .util import fmt15
 
 
 def _resolve_config_path(name):
@@ -49,7 +49,8 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
     else:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        replace_file(out_path, [text])
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +97,11 @@ def cmd_simulate(args):
 # signal
 # ---------------------------------------------------------------------------
 
-def _signal_from_args(args):
-    return resolve_signal(args.id, n_max=args.nmax, level=args.level)
-
-
 def cmd_signal(args):
-    sig = _signal_from_args(args)
+    sig = resolve_signal(args.id, n_max=args.nmax, level=args.level)
     if args.signal_cmd == "eval":
-        ts = [float(tok) for tok in args.t.split(",")]
-        rows = ["t,value"]
-        for t in ts:
-            rows.append(f"{fmt15(t)},{fmt15(sig.eval(np.float64(t)))}")
-        _emit(rows, args.out)
+        _emit(["t,value"] + [f"{fmt15(t)},{fmt15(sig.eval(np.float64(t)))}"
+                             for t in map(float, args.t.split(","))], args.out)
         return 0
     if args.signal_cmd == "norm":
         cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=args.tmin,
@@ -128,12 +122,9 @@ def cmd_signal(args):
     cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=float(np.min(windows)),
                          t_max=float(np.max(windows)), threshold=args.threshold)
     report = aa_translation_test(sig, ladder, cfg, windows)
-    rows = ["n,m,shift_n,shift_m,distance"]
-    for n in range(len(ladder)):
-        for m in range(len(ladder)):
-            rows.append(f"{n},{m},{fmt15(ladder[n])},{fmt15(ladder[m])},"
-                        f"{fmt15(report.distances[n, m])}")
-    _emit(rows, args.out)
+    _emit(["n,m,shift_n,shift_m,distance"] + [
+        f"{n},{m},{fmt15(ladder[n])},{fmt15(ladder[m])},{fmt15(report.distances[n, m])}"
+        for n in range(len(ladder)) for m in range(len(ladder))], args.out)
     print(f"verdict {report.verdict} tail {','.join(fmt15(x) for x in report.tail)}")
     return 0
 
@@ -153,23 +144,18 @@ def cmd_diagnose(args):
         rows = ["t,energy_diff"]
         rows += [f"{fmt15(t)},{fmt15(e)}" for t, e in zip(trace.stamps, trace.values)]
         _emit(rows, os.path.join(outdir, "energy.csv") if outdir else None)
-        if trace.passed:
-            print(f"PASS max forward jump {fmt15(trace.max_forward_jump)} "
-                  f"<= {fmt15(trace.tolerance)}")
-        else:
-            print(f"FAIL max forward jump {fmt15(trace.max_forward_jump)} "
-                  f"> {fmt15(trace.tolerance)}")
         verdict = trace.verdict
+        print(f"{verdict} max forward jump {fmt15(trace.max_forward_jump)} "
+              f"{'<=' if trace.passed else '>'} {fmt15(trace.tolerance)}")
 
     elif sub == "compactness":
         traj = load_trajectory(args.trajdirs[0])
         eps = [float(tok) for tok in args.eps.split(",")]
         report = range_compactness_report(traj, eps, strides=(2, 1))
-        rows = ["stride,eps,n_balls"]
-        for i, stride in enumerate(report.strides):
-            for j, e in enumerate(report.epsilons):
-                rows.append(f"{stride},{fmt15(e)},{report.counts[i, j]}")
-        _emit(rows, os.path.join(outdir, "compactness.csv") if outdir else None)
+        _emit(["stride,eps,n_balls"] + [f"{stride},{fmt15(e)},{report.counts[i, j]}"
+                                        for i, stride in enumerate(report.strides)
+                                        for j, e in enumerate(report.epsilons)],
+              os.path.join(outdir, "compactness.csv") if outdir else None)
         verdict = "PASS" if report.stable else "FAIL"
         print(f"{verdict} cover counts "
               f"{'stable' if report.stable else 'changed'} across densities: "

@@ -228,8 +228,7 @@ def range_compactness_report(traj, epsilons, strides=(4, 2, 1), metric="sup"):
     two densities at every eps.
     """
     strides = np.asarray(sorted(set(int(s) for s in strides), reverse=True))
-    # One synthesis serves every stride.  Its rows may differ in the last
-    # bits from a per-stride product coeffs[::stride] @ E.
+    # One synthesis for every stride; not bit-identical to coeffs[::stride] @ E.
     step = int(np.gcd.reduce(strides))
     points = traj.coeffs[::step] @ traj.basis.eigenfunctions
     weights = traj.basis.weights if metric == "L2" else None

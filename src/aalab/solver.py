@@ -31,13 +31,10 @@ places the nonlinearity enters a step: the Picard iteration, the single-step
 helpers and the residual all apply the map to a base formed once per step.
 """
 
-import contextlib
 from dataclasses import dataclass, field
-import itertools
 import math
 import os
 import re
-import shutil
 import zipfile
 
 import numpy as np
@@ -46,7 +43,7 @@ from .quadrature import quadrature_nodes, gauss_nodes
 from .signals import (FunctionSignal, SpikeTrainSignal, StepanovConfig,
                       constant_signal, reciprocal_sine_signal, stepanov_norm)
 from .spectral import Field, SpectralBasis, field_from_function, save_field_csv
-from .util import replace_file
+from .util import open_new
 
 
 #: Steps whose forcing terms are computed together.  It bounds the node and
@@ -721,46 +718,45 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
 # Persistence
 # ---------------------------------------------------------------------------
 
-#: Rows of trace.csv formatted by one % operation.
-TRACE_BLOCK = 4096
-
-
 def save_trajectory(traj, outdir):
     """Write the whole trajectory to trajectory.npz, which load_trajectory
     reads, plus trace.csv, about 400 field snapshots and trajectory.txt for
-    people to read.  Each file is created new (``util.replace_file``), and
-    the snapshots/ directory of an earlier save is deleted."""
+    people to read.  Each file is created new (``util.open_new``), and the
+    snapshots of an earlier save that this one does not list are deleted."""
     os.makedirs(outdir, exist_ok=True)
     b = traj.basis
-    archive = os.path.join(outdir, "trajectory.npz")
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(archive)
-    np.savez(archive,
-             basis=np.array([b.length, b.modes, b.grid], dtype=float),
-             stamps=traj.stamps, coeffs=traj.coeffs, sup_trace=traj.sup_trace,
-             picard_counts=traj.picard_counts, spiky=traj.spiky,
-             blown_up=traj.blown_up,
-             blowup_time=np.nan if traj.blowup_time is None else traj.blowup_time)
+    with open_new(os.path.join(outdir, "trajectory.npz"), "wb") as fh:
+        np.savez(fh,
+                 basis=np.array([b.length, b.modes, b.grid], dtype=float),
+                 stamps=traj.stamps, coeffs=traj.coeffs, sup_trace=traj.sup_trace,
+                 picard_counts=traj.picard_counts, spiky=traj.spiky,
+                 blown_up=traj.blown_up,
+                 blowup_time=np.nan if traj.blowup_time is None else traj.blowup_time)
     snap_dir = os.path.join(outdir, "snapshots")
-    with contextlib.suppress(FileNotFoundError):
-        shutil.rmtree(snap_dir)
-    os.makedirs(snap_dir)
+    os.makedirs(snap_dir, exist_ok=True)
     n = len(traj.stamps)
     idx = list(range(0, n, max(1, (n - 1) // 400)))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    pairs = np.column_stack((traj.stamps, traj.sup_trace))
-    replace_file(os.path.join(outdir, "trace.csv"), itertools.chain(["t,sup_norm\n"], (
-        ("%.15g,%.15g\n" * len(block)) % tuple(block.ravel().tolist())
-        for block in np.split(pairs, range(TRACE_BLOCK, n, TRACE_BLOCK)))))
-    for i in idx:
-        save_field_csv(traj.field(i), os.path.join(snap_dir, f"snap_{i:08d}.csv"))
-    replace_file(os.path.join(outdir, "snapshots.csv"), ["index,t,file\n"] + [
-        "%d,%.15g,snapshots/snap_%08d.csv\n" % (i, t, i) for i, t in zip(idx, traj.stamps[idx])])
-    replace_file(os.path.join(outdir, "trajectory.txt"), [
-        "basis.L = %.15g\nbasis.K = %d\nbasis.N = %d\nstamps = %d\ndt = %.15g\nblown_up = %s\n"
-        % (b.length, b.modes, b.grid, n, traj.dt, traj.blown_up),
-        "" if traj.blowup_time is None else "blowup_time = %.15g\n" % traj.blowup_time])
+    names = [f"snap_{i:08d}.csv" for i in idx]
+    for stale in set(filter(re.compile(r"snap_\d{8}\.csv").fullmatch,
+                            os.listdir(snap_dir))).difference(names):
+        os.unlink(os.path.join(snap_dir, stale))
+    with open_new(os.path.join(outdir, "trace.csv")) as fh:
+        fh.write("t,sup_norm\n")
+        fh.writelines(map("%.15g,%.15g\n".__mod__,
+                          zip(traj.stamps.tolist(), traj.sup_trace.tolist())))
+    for i, name in zip(idx, names):
+        save_field_csv(traj.field(i), os.path.join(snap_dir, name))
+    with open_new(os.path.join(outdir, "snapshots.csv")) as fh:
+        fh.write("index,t,file\n")
+        fh.writelines("%d,%.15g,snapshots/%s\n" % row
+                      for row in zip(idx, traj.stamps[idx].tolist(), names))
+    with open_new(os.path.join(outdir, "trajectory.txt")) as fh:
+        fh.write("basis.L = %.15g\nbasis.K = %d\nbasis.N = %d\nstamps = %d\ndt = %.15g\n"
+                 "blown_up = %s\n" % (b.length, b.modes, b.grid, n, traj.dt, traj.blown_up))
+        if traj.blowup_time is not None:
+            fh.write("blowup_time = %.15g\n" % traj.blowup_time)
 
 
 def load_trajectory(outdir):

@@ -13,11 +13,11 @@ decay-bound checker reports the worst observed ratio against that envelope.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
-from .util import replace_file
+from .util import open_new
 
 
 class SpectralBasis:
@@ -74,11 +74,6 @@ class SpectralBasis:
     def compatible(self, other):
         return (self.length == other.length and self.modes == other.modes
                 and self.grid == other.grid)
-
-    @cached_property
-    def csv_rows(self):
-        """Field CSV rows ``xi,value``: xi formatted, a ``%.15g`` slot per value."""
-        return "".join(f"{x:.15g},%.15g\n" for x in self.xi.tolist())
 
 
 def assemble_basis(length=1.0, modes=16, grid=None):
@@ -199,8 +194,14 @@ def spectral_tail_mass(f, first_mode):
     return float(np.sum(f.coeffs[first_mode - 1:] ** 2))
 
 
+@lru_cache(maxsize=4)
+def _field_csv_template(basis):
+    """A field CSV with xi formatted and a ``%.15g`` slot per value."""
+    return (f"# basis L={basis.length!r} K={basis.modes} N={basis.grid}\nxi,value\n"
+            + "".join(f"{x:.15g},%.15g\n" for x in basis.xi.tolist()))
+
+
 def save_field_csv(f, path):
     """Write (xi, value) rows with an L/K/N metadata header comment."""
-    b = f.basis
-    replace_file(path, (f"# basis L={b.length!r} K={b.modes} N={b.grid}\nxi,value\n",
-                        b.csv_rows % tuple(f.values.tolist())))
+    with open_new(path) as fh:
+        fh.write(_field_csv_template(f.basis) % tuple(f.values.tolist()))

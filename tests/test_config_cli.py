@@ -78,6 +78,17 @@ def test_signal_eval(capsys):
     assert out.splitlines() == ["t,value", "27,3"]
 
 
+def test_signal_out_writes_through_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    os.symlink(target, link)
+    code, out, _ = run_cli(["signal", "eval", "a", "--t", "27,0", "--nmax", "4",
+                            "--out", str(link)], capsys)
+    assert code == 0 and out == ""
+    assert link.is_symlink()
+    assert target.read_text().splitlines() == ["t,value", "27,3", "0,0"]
+
+
 def test_signal_norm_constant(capsys):
     code, out, _ = run_cli(["signal", "norm", "const:2", "--p", "1",
                             "--tmax", "3"], capsys)

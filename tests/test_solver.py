@@ -455,9 +455,8 @@ def _blowup_run(basis):
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan, 0.1, 1.0 / 3.0]
 
 
-def _hand_made_trajectory(basis, n=2 * sv.TRACE_BLOCK + 3, seed=0):
-    """Stamps off any dt lattice, special values in every text column, and a
-    trace longer than two formatting blocks."""
+def _hand_made_trajectory(basis, n=8195, seed=0):
+    """Stamps off any dt lattice and special values in every text column."""
     rng = np.random.default_rng(seed)
     stamps = np.concatenate([[-0.0, 5e-324, 1e-300], 0.1 + np.cumsum(rng.uniform(1e-3, 1.0, n - 3))])
     coeffs = rng.standard_normal((n, basis.modes)) * 10.0 ** rng.integers(-300, 300, (n, 1))
@@ -551,12 +550,31 @@ def test_resave_creates_files_new(tmp_path, basis):
 def test_resave_leaves_only_listed_snapshots(tmp_path, basis):
     out = tmp_path / "run"
     sv.save_trajectory(_hand_made_trajectory(basis, n=3001), str(out))
-    (out / "notes.txt").write_text("kept\n")
+    user_files = [out / "notes.txt", out / "snapshots" / "notes.txt",
+                  out / "snapshots" / "snap_1.csv"]
+    for path in user_files:
+        path.write_text("kept\n")
     sv.save_trajectory(_hand_made_trajectory(basis, n=2001), str(out))
     listed = [line.split(",")[2] for line in (out / "snapshots.csv").read_text().splitlines()[1:]]
     assert len(listed) == 401
-    assert sorted(f"snapshots/{f}" for f in os.listdir(out / "snapshots")) == sorted(listed)
-    assert (out / "notes.txt").read_text() == "kept\n"
+    assert sorted(f"snapshots/{f}" for f in os.listdir(out / "snapshots")) == sorted(
+        listed + ["snapshots/notes.txt", "snapshots/snap_1.csv"])
+    assert all(path.read_text() == "kept\n" for path in user_files)
+
+
+def test_resave_writes_through_symlinks(tmp_path, basis):
+    out, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    (elsewhere / "snapshots").mkdir(parents=True)
+    (elsewhere / "trace.csv").write_text("old\n")
+    out.mkdir()
+    os.symlink(elsewhere / "snapshots", out / "snapshots")
+    os.symlink(elsewhere / "trace.csv", out / "trace.csv")
+    traj = _hand_made_trajectory(basis, n=50)
+    sv.save_trajectory(traj, str(out))
+    assert (out / "snapshots").is_symlink() and (out / "trace.csv").is_symlink()
+    assert (elsewhere / "trace.csv").read_text().startswith("t,sup_norm\n")
+    assert len(os.listdir(elsewhere / "snapshots")) == 50
+    np.testing.assert_array_equal(sv.load_trajectory(str(out)).sup_trace, traj.sup_trace)
 
 
 def test_restrict_and_index(basis):
