@@ -100,8 +100,11 @@ def cmd_simulate(args):
 def cmd_signal(args):
     sig = resolve_signal(args.id, n_max=args.nmax, level=args.level)
     if args.signal_cmd == "eval":
-        _emit(["t,value"] + [f"{fmt15(t)},{fmt15(sig.eval(np.float64(t)))}"
-                             for t in map(float, args.t.split(","))], args.out)
+        ts = [float(tok) for tok in args.t.split(",")]
+        rows = ["t,value"]
+        for t in ts:
+            rows.append(f"{fmt15(t)},{fmt15(sig.eval(np.float64(t)))}")
+        _emit(rows, args.out)
         return 0
     if args.signal_cmd == "norm":
         cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=args.tmin,
@@ -122,9 +125,12 @@ def cmd_signal(args):
     cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=float(np.min(windows)),
                          t_max=float(np.max(windows)), threshold=args.threshold)
     report = aa_translation_test(sig, ladder, cfg, windows)
-    _emit(["n,m,shift_n,shift_m,distance"] + [
-        f"{n},{m},{fmt15(ladder[n])},{fmt15(ladder[m])},{fmt15(report.distances[n, m])}"
-        for n in range(len(ladder)) for m in range(len(ladder))], args.out)
+    rows = ["n,m,shift_n,shift_m,distance"]
+    for n in range(len(ladder)):
+        for m in range(len(ladder)):
+            rows.append(f"{n},{m},{fmt15(ladder[n])},{fmt15(ladder[m])},"
+                        f"{fmt15(report.distances[n, m])}")
+    _emit(rows, args.out)
     print(f"verdict {report.verdict} tail {','.join(fmt15(x) for x in report.tail)}")
     return 0
 
@@ -152,10 +158,11 @@ def cmd_diagnose(args):
         traj = load_trajectory(args.trajdirs[0])
         eps = [float(tok) for tok in args.eps.split(",")]
         report = range_compactness_report(traj, eps, strides=(2, 1))
-        _emit(["stride,eps,n_balls"] + [f"{stride},{fmt15(e)},{report.counts[i, j]}"
-                                        for i, stride in enumerate(report.strides)
-                                        for j, e in enumerate(report.epsilons)],
-              os.path.join(outdir, "compactness.csv") if outdir else None)
+        rows = ["stride,eps,n_balls"]
+        for i, stride in enumerate(report.strides):
+            for j, e in enumerate(report.epsilons):
+                rows.append(f"{stride},{fmt15(e)},{report.counts[i, j]}")
+        _emit(rows, os.path.join(outdir, "compactness.csv") if outdir else None)
         verdict = "PASS" if report.stable else "FAIL"
         print(f"{verdict} cover counts "
               f"{'stable' if report.stable else 'changed'} across densities: "
