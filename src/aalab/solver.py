@@ -363,6 +363,9 @@ class Stepper:
         self._default_rel = rel
         self._default_w = 0.5 * dt * w
         self._default_D = np.exp(-np.outer(self.lam, dt - rel))
+        # scratch of every Picard sweep: P g of the iterate, |grid difference|
+        self._g_buf = np.empty(basis.modes)
+        self._v_buf = np.empty(self.E.shape[1])
 
     def _fold(self, w1, w2):
         if self.config.order2:
@@ -469,47 +472,57 @@ class Stepper:
         ``order2`` it runs linearly from g(x(t)) (inside ``base``) to the
         iterate's.  The Picard iteration applies this map to its own output.
         """
-        return base + self.weights(dt)[1] * gy
+        return base + self._factors(dt)[1][1] * gy
 
-    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None, values=None):
+    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None,
+             values=None, sup=None):
         """One Picard-refined step from (t, coeffs) to t + dt.
 
         ``prepared`` is the pair ``forcing_steps`` yields for this step;
         without it the step is integrated as a block of one.  ``values`` are
-        the grid values of ``coeffs`` if the caller holds them.  Returns
-        (new_coeffs, iterations, distances, new_values); ``iterations``
-        counts refinement applications after the initial frozen one,
-        ``distances`` the successive-iterate sup distances (empty unless
-        requested), and ``new_values`` are the grid values of ``new_coeffs``
-        (the last sweep's synthesis).
+        the grid values of ``coeffs`` and ``sup`` their sup norm, if the
+        caller holds them.  Returns (new_coeffs, iterations, distances,
+        new_values, new_sup); ``iterations`` counts refinement applications
+        after the initial frozen one, ``distances`` the successive-iterate
+        sup distances (empty unless requested), ``new_values`` are the grid
+        values of ``new_coeffs`` (the last sweep's synthesis) and
+        ``new_sup`` their sup norm.
+
+        Every sweep projects g into, and measures its distance and sup in,
+        buffers kept on the stepper; the arrays it returns are its own.  The
+        contraction margin is checked at the incoming radius and again only
+        when a sweep's sup raises the radius, since at an unchanged radius
+        the estimate is the one that already passed.
         """
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
         if dt > cfg.dt * (1.0 + 1e-12):
             raise ValueError("step dt exceeds the configured dt")
         _, term = prepared if prepared is not None else next(self.forcing_steps([t], [dt]))
-        vx = coeffs @ self.E if values is None else values
-        radius = float(np.abs(vx).max())
+        E, P, g, v_buf, tol = self.E, self.P, self.g.fn, self._v_buf, cfg.picard_tol
+        vy = coeffs @ E if values is None else values
+        radius = float(np.abs(vy).max()) if sup is None else float(sup)
         self._check_contraction(t, radius, dt)
 
         # the frozen application uses g(x(t)), which order 2 also puts in the base
-        gy = self.nonlinear(vx)
+        gy = np.dot(P, g(vy), out=self._g_buf)
         base = self.base(coeffs, dt, term, gy)
-        vy = vx
         distances = []
         for application in range(cfg.picard_max_iter + 1):
             y = self.step_map(base, dt, gy)
-            v_new = y @ self.E
-            d = float(np.abs(v_new - vy).max())
-            radius = max(radius, float(np.abs(v_new).max()))
-            self._check_contraction(t, radius, dt)
+            v_new = y @ E
+            d = float(np.maximum.reduce(np.abs(np.subtract(v_new, vy, out=v_buf), out=v_buf)))
+            s = float(np.maximum.reduce(np.abs(v_new, out=v_buf)))
+            if s > radius:
+                radius = s
+                self._check_contraction(t, radius, dt)
             vy = v_new
             if application > 0:  # the frozen application only seeds the iteration
                 if collect_distances:
                     distances.append(d)
-                if d <= cfg.picard_tol:
-                    return y, application, distances, vy
-            gy = self.nonlinear(vy)
+                if d <= tol:
+                    return y, application, distances, vy, s
+            np.dot(P, g(vy), out=gy)
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
@@ -549,7 +562,7 @@ def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
     """Picard-refined step; returns (field, iterations[, distances])."""
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    coeffs, iterations, distances, _ = stepper.step(x.coeffs, t, dt, collect_distances)
+    coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, dt, collect_distances)
     out = Field(x.basis, coeffs=coeffs)
     if collect_distances:
         return out, iterations, distances
@@ -576,11 +589,12 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blowup_time = None
     last = n_steps
     values = x0.coeffs @ stepper.E
+    sup = float(np.abs(values).max())
     for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt)):
         spiky[j] = prepared[0]
-        coeffs[j + 1], counts[j], _, values = stepper.step(
-            coeffs[j], stamps[j], prepared=prepared, values=values)
-        sup_trace[j + 1] = float(np.abs(values).max())
+        coeffs[j + 1], counts[j], _, values, sup = stepper.step(
+            coeffs[j], stamps[j], prepared=prepared, values=values, sup=sup)
+        sup_trace[j + 1] = sup
         if sup_trace[j + 1] > config.blowup_cap:
             blown_up = True
             blowup_time = float(stamps[j + 1])

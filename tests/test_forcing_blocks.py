@@ -82,7 +82,7 @@ def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     coeffs, sup, counts, spiky = [x0.coeffs], [x0.sup_norm()], [], []
     for j in range(n_steps):
         prepared = oracle_forcing_step(stepper, stamps[j], config.dt)
-        c, k, _, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
+        c, k, _, _, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
         coeffs.append(c)
         sup.append(float(np.max(np.abs(c @ stepper.E))))
         counts.append(k)
