@@ -397,8 +397,10 @@ class Stepper:
         """Mode coefficients of g at the grid ``values``: P g(values)."""
         return self.P @ self.g.fn(values)
 
-    def forcing_steps(self, starts, gaps):
-        """Forcing integrals of the steps [starts[j], starts[j] + gaps[j]], in order.
+    def forcing_steps(self, starts, gaps, ends=None):
+        """Forcing integrals of the steps [starts[j], ends[j]] of length
+        gaps[j], in order; ``ends`` defaults to starts + gaps, and ``solve``
+        passes the successor stamps, which that sum can miss by a rounding.
 
         Yields one (spiky, term) pair per step: ``term`` is (D * H(t + rel)) @
         wts on the step's quadrature layout (rel, wts, D), the forcing part of
@@ -411,17 +413,17 @@ class Stepper:
         """
         starts = np.asarray(starts, dtype=float)
         gaps = np.broadcast_to(np.asarray(gaps, dtype=float), starts.shape)
+        ends = starts + gaps if ends is None else np.asarray(ends, dtype=float)
         for b0 in range(0, starts.size, FORCING_BLOCK):
             block = slice(b0, b0 + FORCING_BLOCK)
-            yield from self._forcing_block(starts[block], gaps[block])
+            yield from self._forcing_block(starts[block], gaps[block], ends[block])
 
-    def _forcing_block(self, starts, gaps):
+    def _forcing_block(self, starts, gaps, ends):
         if self.forcing.is_zero:
             for _ in range(starts.size):
                 yield False, 0.0
             return
         cfg = self.config
-        ends = starts + gaps
         bps = np.sort(self.forcing.breakpoints(starts[0], ends[-1]))
         # spiky: a breakpoint strictly inside the step, the only kind
         # quadrature_nodes subdivides at
@@ -590,7 +592,7 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     last = n_steps
     values = x0.coeffs @ stepper.E
     sup = float(np.abs(values).max())
-    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt)):
+    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt, stamps[1:])):
         spiky[j] = prepared[0]
         coeffs[j + 1], counts[j], _, values, sup = stepper.step(
             coeffs[j], stamps[j], prepared=prepared, values=values, sup=sup)

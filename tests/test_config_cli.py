@@ -188,11 +188,12 @@ def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
     cfg = scenario.solver_config()
     n = round(cfg.horizon / cfg.dt)
 
-    def inside(t):
-        bps = forcing.breakpoints(t, t + cfg.dt)
-        return np.any((bps > t) & (bps < t + cfg.dt))
+    def inside(t, t_next):
+        bps = forcing.breakpoints(t, t_next)
+        return np.any((bps > t) & (bps < t_next))
 
-    expected = sum(inside(t) for t in cfg.dt * np.arange(n))
+    stamps = cfg.dt * np.arange(n + 1)
+    expected = sum(inside(t, t_next) for t, t_next in zip(stamps[:-1], stamps[1:]))
     assert 0 < expected < n
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
     assert f"spiky_steps = {expected}" in manifest

@@ -21,21 +21,23 @@ from aalab.quadrature import gauss_nodes, quadrature_nodes
 from aalab.signals import SpikeTrainSpec, sine_signal
 
 
-def inside_breakpoints(forcing, t, dt):
-    """The step's own breakpoint query, cut to the open step (t, t + dt)."""
-    bps = forcing.breakpoints(t, t + dt)
-    return bps[(bps > t) & (bps < t + dt)]
+def inside_breakpoints(forcing, t, t_next):
+    """The step's own breakpoint query, cut to the open step (t, t_next)."""
+    bps = forcing.breakpoints(t, t_next)
+    return bps[(bps > t) & (bps < t_next)]
 
 
-def oracle_forcing_step(stepper, t, dt):
-    """(spiky, term) of the step [t, t + dt], integrated on its own."""
+def oracle_forcing_step(stepper, t, dt, t_next=None):
+    """(spiky, term) of the step [t, t_next] of length dt, integrated on its
+    own; t_next defaults to t + dt."""
     forcing, cfg = stepper.forcing, stepper.config
-    inside = inside_breakpoints(forcing, t, dt)
+    t_next = t + dt if t_next is None else t_next
+    inside = inside_breakpoints(forcing, t, t_next)
     if inside.size == 0 and dt == cfg.dt:
         x, w = gauss_nodes(cfg.forcing_nodes)
         rel, wts = 0.5 * cfg.dt * (x + 1.0), 0.5 * cfg.dt * w
     else:
-        pts, wts = quadrature_nodes(t, t + dt, inside, cfg.forcing_nodes)
+        pts, wts = quadrature_nodes(t, t_next, inside, cfg.forcing_nodes)
         rel = pts - t
     D = np.exp(-np.outer(stepper.lam, dt - rel))
     term = 0.0 if forcing.is_zero else (D * forcing.mode_values(t + rel)) @ wts
@@ -81,7 +83,7 @@ def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     stamps = t0 + config.dt * np.arange(n_steps + 1)
     coeffs, sup, counts, spiky = [x0.coeffs], [x0.sup_norm()], [], []
     for j in range(n_steps):
-        prepared = oracle_forcing_step(stepper, stamps[j], config.dt)
+        prepared = oracle_forcing_step(stepper, stamps[j], config.dt, stamps[j + 1])
         c, k, _, _, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
         coeffs.append(c)
         sup.append(float(np.max(np.abs(c @ stepper.E))))
@@ -246,16 +248,17 @@ def test_single_steps_order2_bit_identical(ref_basis, forcings, t):
 
 def test_spiky_steps_match_per_step_breakpoints(run_main, ref_parts):
     """The block classification marks exactly the steps with a breakpoint of
-    their own query strictly inside them, over the whole T = 50 reference
-    run: none in the first 12 000 steps, where every level-1 and level-2
-    edge and centre falls on a stamp."""
+    their own query strictly between their stamps, over the whole T = 50
+    reference run: none in the first 12 000 steps, where every level-1 and
+    level-2 edge and centre falls on a stamp, and only the two holding a
+    level-3 edge (26.944 and 27.055) in all."""
     traj, _ = run_main
-    forcing, dt = ref_parts["forcing"], 1e-3
-    per_step = np.array([inside_breakpoints(forcing, t, dt).size > 0
-                         for t in traj.stamps[:-1]])
+    forcing = ref_parts["forcing"]
+    per_step = np.array([inside_breakpoints(forcing, t, t_next).size > 0
+                         for t, t_next in zip(traj.stamps[:-1], traj.stamps[1:])])
     assert np.array_equal(traj.spiky, per_step)
     assert traj.spiky[:12000].sum() == 0
-    assert traj.spiky_steps == 6
+    assert traj.spiky_steps == 2
 
 
 def test_zero_forcing_queries_and_evaluates_nothing(ref_basis, monkeypatch):
