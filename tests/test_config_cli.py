@@ -199,6 +199,21 @@ def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
     assert f"spiky_steps = {expected}" in manifest
 
 
+@pytest.mark.parametrize("config, code", [("reference", 0), ("blowup", 2)])
+def test_simulate_manifest_picard_summary(tmp_path, capsys, monkeypatch, config, code):
+    """picard_max and picard_sweeps (refinements plus one frozen application
+    per step) agree with the counts saved in trajectory.npz."""
+    monkeypatch.setenv("AALAB_SOLVER__T", "0.3")
+    out_dir = tmp_path / config
+    assert run_cli(["simulate", "--config", config, "--out", str(out_dir)], capsys)[0] == code
+    with np.load(out_dir / "trajectory.npz") as z:
+        counts = z["picard_counts"]
+    assert counts.size > 0
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
+    assert f"picard_max = {int(counts.max())}" in manifest
+    assert f"picard_sweeps = {int(counts.sum()) + counts.size}" in manifest
+
+
 def test_simulate_blowup_exit_code(tmp_path, capsys):
     out_dir = str(tmp_path / "blow")
     code, out, _ = run_cli(["simulate", "--config", "blowup", "--out", out_dir], capsys)

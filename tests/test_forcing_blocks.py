@@ -5,8 +5,11 @@ step's breakpoints, keep those strictly inside it, lay out its quadrature
 (split at them, or the cached layout if there are none), evaluate H at its
 nodes and contract.  The step-map oracle writes the nonlinear half of the
 step from the basis alone, with the closed-form weights of the exact
-semigroup.  Blocking, the shared base and the single synthesis per sweep
-change no arithmetic, so every check is exact equality, not a tolerance.
+semigroup.  The Picard-loop oracle writes the sweeps out with a contraction
+check on every one, so the step's reused buffers, its check on a growing
+radius only and the sup it takes and hands back are each held to it.
+Blocking, the shared base and the single synthesis per sweep change no
+arithmetic, so every check is exact equality, not a tolerance.
 """
 
 import math
@@ -76,15 +79,52 @@ def oracle_step_map(basis, g, order2, base, dt, vx, vy):
     return base + w1 * Gy
 
 
+def oracle_check_contraction(g, t, radius, dt):
+    factor = g.lipschitz(radius) * dt
+    if factor >= 0.5:
+        raise sv.NonContractionError(t, radius, factor)
+
+
+def oracle_step(stepper, coeffs, t, dt, term):
+    """The Picard loop written out on its own: each sweep applies the step
+    map, synthesizes the iterate, measures its distance to the last one and
+    checks the contraction margin at the running radius, every sweep.
+    Returns what ``Stepper.step`` returns, distances always collected."""
+    cfg, E = stepper.config, stepper.E
+    vx = coeffs @ E
+    radius = float(np.max(np.abs(vx)))
+    oracle_check_contraction(stepper.g, t, radius, dt)
+    gy = stepper.nonlinear(vx)
+    base = stepper.base(coeffs, dt, term, gy)
+    previous, distances = vx, []
+    for application in range(cfg.picard_max_iter + 1):
+        y = stepper.step_map(base, dt, gy)
+        values = y @ E
+        d = float(np.max(np.abs(values - previous)))
+        sup = float(np.max(np.abs(values)))
+        radius = max(radius, sup)
+        oracle_check_contraction(stepper.g, t, radius, dt)
+        previous = values
+        if application > 0:
+            distances.append(d)
+            if d <= cfg.picard_tol:
+                return y, application, distances, values, sup
+        gy = stepper.nonlinear(values)
+    raise sv.PicardError(
+        f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
+        f"(last distance {d:.3g}, tol {cfg.picard_tol:g})")
+
+
 def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
-    """The march of ``solve`` with every forcing term from the oracle."""
+    """The march of ``solve`` with every forcing term and every step from
+    the oracles."""
     stepper = sv.Stepper(x0.basis, nonlinearity, forcing, config)
     n_steps = int(round(config.horizon / config.dt))
     stamps = t0 + config.dt * np.arange(n_steps + 1)
     coeffs, sup, counts, spiky = [x0.coeffs], [x0.sup_norm()], [], []
     for j in range(n_steps):
         prepared = oracle_forcing_step(stepper, stamps[j], config.dt, stamps[j + 1])
-        c, k, _, _, _ = stepper.step(coeffs[-1], stamps[j], prepared=prepared)
+        c, k, _, _, _ = oracle_step(stepper, coeffs[-1], stamps[j], config.dt, prepared[1])
         coeffs.append(c)
         sup.append(float(np.max(np.abs(c @ stepper.E))))
         counts.append(k)
@@ -244,6 +284,87 @@ def test_single_steps_bit_identical(ref_basis, forcings, t):
 @pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
 def test_single_steps_order2_bit_identical(ref_basis, forcings, t):
     check_single_steps(ref_basis, forcings["profiled"], t, order2=True)
+
+
+def assert_same_step(got, expected):
+    coeffs, iterations, distances, values, sup = got
+    assert np.array_equal(coeffs, expected[0])
+    assert iterations == expected[1]
+    assert distances == expected[2]
+    assert np.array_equal(values, expected[3])
+    assert sup == expected[4]
+
+
+@pytest.mark.parametrize("order2", [False, True])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dt", [1e-3, 4e-4])
+def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
+    """Coefficients, iteration count, distances, grid values and sup of
+    ``Stepper.step`` against the loop written out, from states of a forced
+    run, one of them starting the spiky step at 26.944, and one ahead of a
+    shortened last step."""
+    forcing = forcings["profiled"] if forced else None
+    cubic = sv.make_nonlinearity("cubic")
+    stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=1e-3, order2=order2))
+    states = [(0.25, sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs),
+              (26.944, sv.reference_initial_field(ref_basis, "mode3", -0.8).coeffs),
+              (3.0, sv.reference_initial_field(ref_basis, "mode2", 1.5).coeffs)]
+    for t, c in states:
+        _, term = oracle_forcing_step(stepper, t, dt)
+        expected = oracle_step(stepper, c, t, dt, term)
+        assert expected[1] > 1
+        assert_same_step(stepper.step(c, t, dt, collect_distances=True), expected)
+        values = c @ ref_basis.eigenfunctions
+        got = stepper.step(c, t, dt, collect_distances=True, values=values,
+                           sup=float(np.max(np.abs(values))))
+        assert_same_step(got, expected)
+
+
+@pytest.mark.parametrize("amplitude", [12.8, 13.0])
+def test_step_raises_oracle_noncontraction(ref_basis, amplitude):
+    """The margin fails inside the sweeps after the incoming radius passed
+    (amplitude 12.8), or at the incoming radius (13): the same t, radius
+    and factor as the loop that checks every sweep, with and without the
+    caller's grid values and sup."""
+    g = sv.make_nonlinearity("cubic-unstable")
+    stepper = sv.Stepper(ref_basis, g, None, sv.SolverConfig(dt=1e-3))
+    c = sv.reference_initial_field(ref_basis, "mode1", amplitude).coeffs
+    values = c @ ref_basis.eigenfunctions
+    sup = float(np.max(np.abs(values)))
+    with pytest.raises(sv.NonContractionError) as expected:
+        oracle_step(stepper, c, 1.5, 1e-3, 0.0)
+    assert (expected.value.radius > sup) == (amplitude == 12.8)
+    for held in ({}, {"values": values, "sup": sup}):
+        with pytest.raises(sv.NonContractionError) as got:
+            stepper.step(c, 1.5, **held)
+        assert (got.value.t, got.value.radius, got.value.factor) == (
+            expected.value.t, expected.value.radius, expected.value.factor)
+
+
+def test_step_raises_oracle_picard_error(ref_basis, forcings):
+    cfg = sv.SolverConfig(dt=1e-3, picard_max_iter=1, picard_tol=1e-300)
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings["profiled"], cfg)
+    c = sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs
+    with pytest.raises(sv.PicardError) as expected:
+        oracle_step(stepper, c, 2.5, 1e-3, oracle_forcing_step(stepper, 2.5, 1e-3)[1])
+    with pytest.raises(sv.PicardError) as got:
+        stepper.step(c, 2.5)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("order2", [False, True])
+def test_step_results_survive_the_next_step(ref_basis, order2):
+    """The sweep buffers stay on the stepper: a second step leaves every
+    array the first one returned as it was."""
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), None,
+                         sv.SolverConfig(dt=1e-3, order2=order2))
+    c = sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs
+    first = stepper.step(c, 0.0, collect_distances=True)
+    kept = [np.copy(a) for a in first[:4]]
+    stepper.step(sv.reference_initial_field(ref_basis, "mode2", 0.9).coeffs, 0.0,
+                 collect_distances=True)
+    for a, b in zip(first[:4], kept):
+        assert np.array_equal(a, b)
 
 
 def test_spiky_steps_match_per_step_breakpoints(run_main, ref_parts):
