@@ -77,10 +77,8 @@ def cmd_simulate(args):
     lines.append(f"config_file = {path}")
     lines.append(f"stamps = {len(traj.stamps)}")
     lines.append(f"spiky_steps = {traj.spiky_steps}")
-    # sweeps: each step's refinements plus its frozen first application
-    counts = traj.picard_counts
-    lines.append(f"picard_max = {counts.max(initial=0)}")
-    lines.append(f"picard_sweeps = {counts.sum() + counts.size}")
+    lines.append(f"picard_max = {traj.picard_counts.max(initial=0)}")
+    lines.append(f"picard_sweeps = {traj.picard_counts.sum() + len(traj.picard_counts)}")
     lines.append(f"sup_trace_max = {fmt15(np.max(traj.sup_trace))}")
     lines.append(f"blown_up = {traj.blown_up}")
     if traj.blowup_time is not None:

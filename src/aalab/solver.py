@@ -484,17 +484,11 @@ class Stepper:
         without it the step is integrated as a block of one.  ``values`` are
         the grid values of ``coeffs`` and ``sup`` their sup norm, if the
         caller holds them.  Returns (new_coeffs, iterations, distances,
-        new_values, new_sup); ``iterations`` counts refinement applications
-        after the initial frozen one, ``distances`` the successive-iterate
-        sup distances (empty unless requested), ``new_values`` are the grid
-        values of ``new_coeffs`` (the last sweep's synthesis) and
-        ``new_sup`` their sup norm.
-
-        Every sweep projects g into, and measures its distance and sup in,
-        buffers kept on the stepper; the arrays it returns are its own.  The
-        contraction margin is checked at the incoming radius and again only
-        when a sweep's sup raises the radius, since at an unchanged radius
-        the estimate is the one that already passed.
+        new_values, new_sup): refinement applications after the initial
+        frozen one, the successive-iterate sup distances (empty unless
+        requested), and the last sweep's synthesis and its sup norm.  The
+        sweeps work in buffers kept on the stepper, never returned, and
+        re-check the contraction margin only when a sup raises the radius.
         """
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
