@@ -15,7 +15,9 @@ nonlinearity is evaluated once per Picard sweep, on the iterate's grid
 values.  The per-step map is a contraction whenever M * L_R * dt < 1/2,
 where L_R is the local Lipschitz constant of the nonlinearity on the
 current radius; the stepper enforces that margin and reports the iterate
-distances so contraction can be observed, not assumed.
+distances so contraction can be observed, not assumed.  A step ends at the
+first application that moves the grid values by no more than the Picard
+tolerance, which on a decayed state is the frozen one from x(t).
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -483,12 +485,16 @@ class Stepper:
         ``prepared`` is the pair ``forcing_steps`` yields for this step;
         without it the step is integrated as a block of one.  ``values`` are
         the grid values of ``coeffs`` and ``sup`` their sup norm, if the
-        caller holds them.  Returns (new_coeffs, iterations, distances,
-        new_values, new_sup): refinement applications after the initial
-        frozen one, the successive-iterate sup distances (empty unless
-        requested), and the last sweep's synthesis and its sup norm.  The
-        sweeps work in buffers kept on the stepper, never returned, and
-        re-check the contraction margin only when a sup raises the radius.
+        caller holds them.  Every application, the frozen one from x(t)
+        included, stops the iteration once it moves the grid values by at
+        most ``picard_tol``: with q = L_R dt < 1/2 the accepted iterate is
+        within q / (1 - q) times that tolerance of the fixed point.  Returns
+        (new_coeffs, iterations, distances, new_values, new_sup): refinement
+        applications after the frozen one (0 if that one was accepted), their
+        successive-iterate sup distances (empty unless requested), and the
+        last sweep's synthesis and its sup norm.  The sweeps work in buffers
+        kept on the stepper, never returned, and re-check the contraction
+        margin only when a sup raises the radius.
         """
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
@@ -513,11 +519,10 @@ class Stepper:
                 radius = s
                 self._check_contraction(t, radius, dt)
             vy = v_new
-            if application > 0:  # the frozen application only seeds the iteration
-                if collect_distances:
-                    distances.append(d)
-                if d <= tol:
-                    return y, application, distances, vy, s
+            if collect_distances and application > 0:
+                distances.append(d)
+            if d <= tol:
+                return y, application, distances, vy, s
             np.dot(P, g(vy), out=gy)
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
@@ -555,7 +560,8 @@ def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=
 
 def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
                 collect_distances=False):
-    """Picard-refined step; returns (field, iterations[, distances])."""
+    """Picard-refined step; returns (field, iterations[, distances]), with 0
+    iterations and no distances when the frozen application is accepted."""
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
     coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, dt, collect_distances)

@@ -6,8 +6,9 @@ step's breakpoints, keep those strictly inside it, lay out its quadrature
 nodes and contract.  The step-map oracle writes the nonlinear half of the
 step from the basis alone, with the closed-form weights of the exact
 semigroup.  The Picard-loop oracle writes the sweeps out with a contraction
-check on every one, so the step's reused buffers, its check on a growing
-radius only and the sup it takes and hands back are each held to it.
+check and the stopping test on every one, so the step's reused buffers, its
+check on a growing radius only, its acceptance of the frozen application
+and the sup it takes and hands back are each held to it.
 Blocking, the shared base and the single synthesis per sweep change no
 arithmetic, so every check is exact equality, not a tolerance.
 """
@@ -87,9 +88,11 @@ def oracle_check_contraction(g, t, radius, dt):
 
 def oracle_step(stepper, coeffs, t, dt, term):
     """The Picard loop written out on its own: each sweep applies the step
-    map, synthesizes the iterate, measures its distance to the last one and
-    checks the contraction margin at the running radius, every sweep.
-    Returns what ``Stepper.step`` returns, distances always collected."""
+    map, synthesizes the iterate, measures its distance to the last one
+    (x(t) for the frozen application) and checks the contraction margin at
+    the running radius, every sweep; the first iterate within the tolerance
+    is accepted, the frozen one too.  Returns what ``Stepper.step`` returns,
+    refinement distances always collected."""
     cfg, E = stepper.config, stepper.E
     vx = coeffs @ E
     radius = float(np.max(np.abs(vx)))
@@ -107,8 +110,8 @@ def oracle_step(stepper, coeffs, t, dt, term):
         previous = values
         if application > 0:
             distances.append(d)
-            if d <= cfg.picard_tol:
-                return y, application, distances, values, sup
+        if d <= cfg.picard_tol:
+            return y, application, distances, values, sup
         gy = stepper.nonlinear(values)
     raise sv.PicardError(
         f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
@@ -195,6 +198,48 @@ def test_unforced_march_bit_identical(ref_basis):
     traj = sv.solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis))
     assert traj.spiky_steps == 0
     assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
+
+
+@pytest.mark.parametrize("profile, amplitude", [("mode1", 1e-9), ("mode3", 0.8)])
+@pytest.mark.parametrize("order2", [False, True])
+def test_decaying_march_accepts_frozen_steps_bit_identical(ref_basis, profile, amplitude, order2):
+    """Unforced marches whose states move by less than the tolerance in a
+    step: from amplitude 1e-9 every step, from 0.8 * mode 3 the steps after
+    the state has decayed, take no refinement."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=1.0, order2=order2)
+    x0 = sv.reference_initial_field(ref_basis, profile, amplitude)
+    cubic = sv.make_nonlinearity("cubic")
+    traj = sv.solve(x0, cfg, cubic)
+    assert np.any(traj.picard_counts == 0)
+    assert np.all(traj.picard_counts == 0) == (amplitude < 1e-6)
+    assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
+
+
+@pytest.mark.parametrize("order2", [False, True])
+def test_one_more_refinement_moves_an_accepted_step_by_under_q_tol(ref_basis, order2):
+    """The a-posteriori bound behind the stopping rule: applying the step
+    map once more to an accepted iterate moves its grid values by at most
+    L_R * dt * picard_tol, with L_R the Lipschitz constant of g at the
+    larger sup of the step's two ends.  Checked on every step of an
+    unforced march whose steps take 0 to 4 refinements; with the weight
+    operator's grid sup norm at 1.04 dt (order 1, 64 modes) this is
+    observed, not implied."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.6, order2=order2)
+    cubic = sv.make_nonlinearity("cubic")
+    stepper = sv.Stepper(ref_basis, cubic, None, cfg)
+    E = ref_basis.eigenfunctions
+    c = sv.reference_initial_field(ref_basis, "mode2", 0.4).coeffs
+    counts = []
+    for j in range(int(round(cfg.horizon / cfg.dt))):
+        vx = c @ E
+        y, iterations, _, vy, sup = stepper.step(c, j * cfg.dt)
+        base = stepper.base(c, cfg.dt, 0.0, stepper.nonlinear(vx))
+        refined = stepper.step_map(base, cfg.dt, stepper.nonlinear(vy))
+        bound = cubic.lipschitz(max(float(np.max(np.abs(vx))), sup)) * cfg.dt * cfg.picard_tol
+        assert float(np.max(np.abs(refined @ E - vy))) <= bound
+        counts.append(iterations)
+        c = y
+    assert 0 in counts and max(counts) > 1
 
 
 @pytest.mark.parametrize("order2", [False, True])
@@ -302,17 +347,24 @@ def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
     """Coefficients, iteration count, distances, grid values and sup of
     ``Stepper.step`` against the loop written out, from states of a forced
     run, one of them starting the spiky step at 26.944, and one ahead of a
-    shortened last step."""
+    shortened last step; unforced, also from a decayed state, which the
+    frozen application already moves by less than the tolerance."""
     forcing = forcings["profiled"] if forced else None
     cubic = sv.make_nonlinearity("cubic")
     stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=1e-3, order2=order2))
     states = [(0.25, sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs),
               (26.944, sv.reference_initial_field(ref_basis, "mode3", -0.8).coeffs),
               (3.0, sv.reference_initial_field(ref_basis, "mode2", 1.5).coeffs)]
+    if not forced:
+        states.append((5.0, sv.reference_initial_field(ref_basis, "mode1", 1e-9).coeffs))
     for t, c in states:
         _, term = oracle_forcing_step(stepper, t, dt)
         expected = oracle_step(stepper, c, t, dt, term)
-        assert expected[1] > 1
+        decayed = float(np.max(np.abs(c))) < 1e-6
+        if decayed:
+            assert expected[1] == 0 and expected[2] == []
+        else:
+            assert expected[1] > 1
         assert_same_step(stepper.step(c, t, dt, collect_distances=True), expected)
         values = c @ ref_basis.eigenfunctions
         got = stepper.step(c, t, dt, collect_distances=True, values=values,
