@@ -586,12 +586,11 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     counts = np.zeros(n_steps, dtype=int)
     spiky = np.zeros(n_steps, dtype=bool)
     coeffs[0] = x0.coeffs
-    sup_trace[0] = x0.sup_norm()
+    values = x0.coeffs @ stepper.E
+    sup = sup_trace[0] = float(np.abs(values).max())
     blown_up = False
     blowup_time = None
     last = n_steps
-    values = x0.coeffs @ stepper.E
-    sup = float(np.abs(values).max())
     for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt, stamps[1:])):
         spiky[j] = prepared[0]
         coeffs[j + 1], counts[j], _, values, sup = stepper.step(

@@ -124,7 +124,8 @@ def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     stepper = sv.Stepper(x0.basis, nonlinearity, forcing, config)
     n_steps = int(round(config.horizon / config.dt))
     stamps = t0 + config.dt * np.arange(n_steps + 1)
-    coeffs, sup, counts, spiky = [x0.coeffs], [x0.sup_norm()], [], []
+    coeffs, counts, spiky = [x0.coeffs], [], []
+    sup = [float(np.max(np.abs(x0.coeffs @ stepper.E)))]
     for j in range(n_steps):
         prepared = oracle_forcing_step(stepper, stamps[j], config.dt, stamps[j + 1])
         c, k, _, _, _ = oracle_step(stepper, coeffs[-1], stamps[j], config.dt, prepared[1])

@@ -117,6 +117,17 @@ def test_solver_matches_semigroup_per_mode(basis):
     assert np.max(np.abs(traj.coeffs[-1] - exact)) < 1e-12
 
 
+def test_sup_trace_starts_at_the_stored_state(basis):
+    """sup_trace[0] is the sup of the state the trajectory stores, the
+    projection of the initial data, not of the data's own grid values: a
+    box profile overshoots 1 there (Gibbs)."""
+    x0 = sp.field_from_function(basis, lambda x: (np.abs(x - 0.5) < 0.1).astype(float))
+    traj = sv.solve(x0, sv.SolverConfig(dt=1e-3, horizon=2e-3), sv.make_nonlinearity("cubic"))
+    assert x0.sup_norm() == 1.0
+    assert traj.sup_trace[0] == float(np.max(np.abs(traj.coeffs[0] @ basis.eigenfunctions)))
+    assert traj.sup_trace[0] > 1.05
+
+
 def test_constant_forcing_steady_state(basis):
     c = 2.0
     forcing = sv.ForcingSpec.modulated(basis, constant_signal(c), sp.mode_field(basis, 1))
