@@ -374,19 +374,13 @@ class Stepper:
             return self.dealias * (w1 - w2), self.dealias * w2
         return None, self.dealias * w1
 
-    def weights(self, dt):
-        """Per-mode weights (wx, wy) of the nonlinear half of a step of length
-        ``dt``, dealiasing (the lowest 2K/3 modes) folded in.
-
-        The step integral of g is wx P g(x(t)) + wy P g(xhat(t + dt)): at
-        order one wx is None and wy = w1 (see ``etd_weights``); with
-        ``order2``, g runs linearly between the ends and (wx, wy) =
-        (w1 - w2, w2).  Cached for the configured dt and for the last other dt.
-        """
-        return self._factors(dt)[1]
-
     def _factors(self, dt):
-        """(exp(-lam dt), weights(dt)), cached for the configured dt and, in
+        """(exp(-lam dt), (wx, wy)) for a step of length ``dt``: the decay and
+        the per-mode weights of the nonlinear half, dealiasing (the lowest
+        2K/3 modes) folded in.  The step integral of g is wx P g(x(t)) +
+        wy P g(xhat(t + dt)): at order one wx is None and wy = w1 (see
+        ``etd_weights``); with ``order2``, g runs linearly between the ends
+        and (wx, wy) = (w1 - w2, w2).  Cached for the configured dt and, in
         one entry, for the last other gap: the Picard sweeps of a shortened
         step, and the base and step map of a ``mild_residual`` step, reuse it."""
         if dt == self.config.dt:
