@@ -222,7 +222,7 @@ def test_one_more_refinement_moves_an_accepted_step_by_under_q_tol(ref_basis, or
     map once more to an accepted iterate moves its grid values by at most
     L_R * dt * picard_tol, with L_R the Lipschitz constant of g at the
     larger sup of the step's two ends.  Checked on every step of an
-    unforced march whose steps take 0 to 4 refinements; with the weight
+    unforced march whose steps take 0 to 3 refinements; with the weight
     operator's grid sup norm at 1.04 dt (order 1, 64 modes) this is
     observed, not implied."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.6, order2=order2)
