@@ -27,28 +27,75 @@ def gauss_nodes(n):
     return x, w
 
 
+def _subdivide(lo, hi, breakpoints):
+    """Segment endpoints of many intervals at once, by one rule.
+
+    Interval ``j`` is ``[lo[j], hi[j]]`` with the breakpoints
+    ``breakpoints[j]``.  Breakpoints outside the open interval are dropped;
+    a point closer than 1e-14 times the interval length to its predecessor
+    (lo included) is merged into it, and every interval ends at its own hi.
+    Returns the kept endpoints, interval by interval and ascending within
+    each, the index of the interval each belongs to, and each interval's
+    segment count.
+    """
+    n = lo.size
+    bad = np.flatnonzero(hi <= lo)
+    if bad.size:
+        raise ValueError(f"empty integration interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+    pts = [np.asarray(b, dtype=float).ravel() for b in breakpoints]
+    owner = np.repeat(np.arange(n), [b.size for b in pts])
+    pts = np.concatenate(pts) if pts else np.empty(0)
+    inside = (pts > lo[owner]) & (pts < hi[owner])
+    ends = np.concatenate([lo, pts[inside], hi])
+    owner = np.concatenate([np.arange(n), owner[inside], np.arange(n)])
+    order = np.lexsort((ends, owner))
+    ends, owner = ends[order], owner[order]
+    keep = np.ones(ends.size, dtype=bool)
+    first = owner[1:] != owner[:-1]
+    keep[1:] = first | (ends[1:] - ends[:-1] > 1e-14 * (hi - lo)[owner[1:]])
+    # hi ends its interval even when it lies within the tolerance of the
+    # last breakpoint (a sliver segment)
+    keep[:-1] |= first
+    keep[-1:] = True
+    ends, owner = ends[keep], owner[keep]
+    segments = np.bincount(owner, minlength=n) - 1
+    bad = np.flatnonzero(segments > MAX_SEGMENTS)
+    if bad.size:
+        j = bad[0]
+        raise SubdivisionOverflow(f"{segments[j]} segments on [{lo[j]}, {hi[j]}] "
+                                  f"exceed the cap of {MAX_SEGMENTS}")
+    return ends, owner, segments
+
+
 def segment_points(lo, hi, breakpoints=()):
-    """Sorted segment endpoints: lo, the interior breakpoints, hi.
+    """Sorted segment endpoints of [lo, hi]: lo, the interior breakpoints, hi.
 
     Breakpoints outside the open interval are dropped; near-duplicates
     (closer than 1e-14 times the interval length) are merged.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
-        raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    pts = np.asarray(breakpoints, dtype=float)
-    pts = pts[(pts > lo) & (pts < hi)]
-    pts = np.concatenate([[lo], np.sort(pts), [hi]])
-    keep = np.concatenate([[True], np.diff(pts) > 1e-14 * (hi - lo)])
-    pts = pts[keep]
-    if pts[-1] != hi:
-        pts = np.concatenate([pts, [hi]])
-    if len(pts) - 1 > MAX_SEGMENTS:
-        raise SubdivisionOverflow(
-            f"{len(pts) - 1} segments on [{lo}, {hi}] exceed the cap of {MAX_SEGMENTS}"
-        )
-    return pts
+    return _subdivide(np.array([float(lo)]), np.array([float(hi)]), [breakpoints])[0]
+
+
+def quadrature_layouts(lo, hi, breakpoints, nodes=32):
+    """Gauss-Legendre layouts of many subdivided intervals in one pass.
+
+    ``lo`` and ``hi`` hold the interval ends and ``breakpoints[j]`` the
+    breakpoints of interval ``j``.  Returns (points, weights, sizes): the
+    layouts flattened one after another, and each interval's node count.
+    Every layout is the one ``quadrature_nodes`` gives for its interval,
+    bit for bit.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ends, owner, segments = _subdivide(lo, hi, breakpoints)
+    same = owner[1:] == owner[:-1]
+    left, right = ends[:-1][same], ends[1:][same]
+    x, w = gauss_nodes(nodes)
+    mids = 0.5 * (right + left)
+    halfs = 0.5 * (right - left)
+    points = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
+    weights = (halfs[:, None] * w[None, :]).ravel()
+    return points, weights, len(x) * segments
 
 
 def quadrature_nodes(lo, hi, breakpoints=(), nodes=32):
@@ -57,12 +104,7 @@ def quadrature_nodes(lo, hi, breakpoints=(), nodes=32):
     Returns (points, weights) as 1-D arrays; ``sum(w * f(points))``
     approximates the integral of f over [lo, hi].
     """
-    pts = segment_points(lo, hi, breakpoints)
-    x, w = gauss_nodes(nodes)
-    mids = 0.5 * (pts[1:] + pts[:-1])
-    halfs = 0.5 * (pts[1:] - pts[:-1])
-    points = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    weights = (halfs[:, None] * w[None, :]).ravel()
+    points, weights, _ = quadrature_layouts([float(lo)], [float(hi)], [breakpoints], nodes)
     return points, weights
 
 

@@ -323,6 +323,63 @@ def test_sqrt2_ladder_recurrence_for_reciprocal_sine():
     assert report.tail[-1] < 0.05
 
 
+AA_SIGNALS = {
+    "a": (lambda: sg.resolve_signal("a", n_max=6), lambda: sg.power_shift_ladder(6),
+          [0.3, 2.7, 5.1, 7.9]),
+    "b": (lambda: sg.resolve_signal("b"), lambda: sg.sqrt2_shift_ladder(6), [0.0, 1.0, 3.3, 4.4]),
+    "sin": (lambda: sg.resolve_signal("sin"), lambda: [0.5, 1.3, 2.0, 3.7, 4.1, 5.5],
+            [0.25, 1.1, 2.6, 3.0]),
+    "orbit": (sampled_orbit, lambda: [0.5, 1.3, 2.0, 3.7, 4.1, 5.5], [6.0, 9.4, 11.2, 14.0]),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(AA_SIGNALS))
+def test_aa_translation_test_equals_per_pair_distances(name, p):
+    make, ladder, windows = AA_SIGNALS[name]
+    f, shifts = make(), np.asarray(ladder(), dtype=float)
+    assert shifts.size ** 2 * len(windows) > sg.SCAN_BLOCK
+    cfg = sg.StepanovConfig(p=p, t_min=windows[0], t_max=windows[-1])
+    report = sg.aa_translation_test(f, shifts, cfg, windows)
+    want = np.array([[max(sg.sp_translation_distance(f, f, tau_n - tau_m, t, p, cfg.nodes)
+                          for t in np.asarray(windows)) for tau_m in shifts]
+                     for tau_n in shifts])
+    assert np.array_equal(report.distances, want)
+
+
+def test_aa_translation_test_evaluates_once_per_block(monkeypatch):
+    f = sg.sine_signal()
+    calls = {"eval": 0, "breakpoints": 0}
+    for name in calls:
+        original = getattr(f, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(f, name, counted)
+    shifts, windows = [1.0, 2.0, 3.5, 4.0, 5.25, 6.0], [0.0, 0.5, 1.25, 2.0]
+    items = len(shifts) ** 2 * len(windows)  # 144 (pair, window) items: two blocks
+    sg.aa_translation_test(f, shifts, sg.StepanovConfig(t_min=0.0, t_max=2.0), windows)
+    blocks = -(-items // sg.SCAN_BLOCK)
+    assert blocks == 2
+    # shifted and unshifted nodes once per block; one breakpoint query per
+    # window and one per window and shift
+    assert calls["eval"] == 2 * blocks
+    assert calls["breakpoints"] == len(windows) + items
+
+
+def test_magnitude_is_the_max_over_components():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((7, 3, 4))
+    values[2, 1, 3] = np.nan
+    values[4, 0] = -0.0
+    got = sg.magnitude(values)
+    assert got.shape == (7, 3)
+    assert np.array_equal(got, np.max(np.abs(values), axis=-1), equal_nan=True)
+    assert np.signbit(got).sum() == 0
+
+
 # ---------------------------------------------------------------------------
 # uniform continuity modulus
 # ---------------------------------------------------------------------------
