@@ -356,9 +356,19 @@ def constant_energy_offset_check(u, v, nonlinearity, tolerance=1e-8):
 # Subvariant functionals and minimal solutions
 # ---------------------------------------------------------------------------
 
+def _sup_norms(traj):
+    """Grid sup norm of every state, ROW_BLOCK states at a time, so the
+    synthesized values stay in cache and do not grow with the orbit."""
+    out = np.empty(len(traj.coeffs))
+    for b in range(0, out.size, ROW_BLOCK):
+        vals = traj.coeffs[b:b + ROW_BLOCK] @ traj.basis.eigenfunctions
+        out[b:b + ROW_BLOCK] = np.max(np.abs(vals, out=vals), axis=1)
+    return out
+
+
 def _functional(ident):
     if ident == "sup-norm":
-        return lambda traj: np.max(np.abs(traj.coeffs @ traj.basis.eigenfunctions), axis=1)
+        return _sup_norms
     if ident == "energy-sup":
         return lambda traj: 0.5 * np.sum(traj.coeffs ** 2, axis=1)
     if callable(ident):

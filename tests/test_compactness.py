@@ -445,3 +445,16 @@ def test_kp_reference_composition_finite(basis):
                                    StepanovConfig(p=1.0, t_min=0.0, t_max=3.0))
     assert np.isfinite(kp)
     assert kp > 0.0
+
+
+@pytest.mark.parametrize("states", [cp.ROW_BLOCK - 1, 3 * cp.ROW_BLOCK + 37])
+def test_blocked_sup_norms_equal_the_whole_product(states):
+    """The sup-norm functional, built ROW_BLOCK states at a time, gives each
+    state's sup bit for bit as the product over the whole orbit does."""
+    basis = sp.SpectralBasis(1.0, 64, 256)
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((states, basis.modes)) / np.arange(1, basis.modes + 1)
+    traj = sv.Trajectory(basis, 0.01 * np.arange(states), coeffs, np.zeros(states))
+    whole = np.max(np.abs(coeffs @ basis.eigenfunctions), axis=1)
+    assert np.array_equal(cp._functional("sup-norm")(traj), whole)
+    assert cp.subvariant_eval(traj, "sup-norm") == float(np.max(whole))
