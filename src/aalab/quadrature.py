@@ -32,8 +32,9 @@ def _subdivide(lo, hi, breakpoints):
 
     Interval ``j`` is ``[lo[j], hi[j]]`` with the breakpoints
     ``breakpoints[j]``.  Breakpoints outside the open interval are dropped;
-    a point closer than 1e-14 times the interval length to its predecessor
-    (lo included) is merged into it, and every interval ends at its own hi.
+    a point at most 1e-14 times the interval length above its predecessor in
+    the sorted list (lo included, dropped points too) is dropped, and every
+    interval ends at its own hi.
     Returns the kept endpoints, interval by interval and ascending within
     each, the index of the interval each belongs to, and each interval's
     segment count.
