@@ -364,7 +364,7 @@ def test_aa_translation_test_evaluates_once_per_block(monkeypatch):
     blocks = -(-items // sg.SCAN_BLOCK)
     assert blocks == 2
     # shifted and unshifted nodes once per block; one breakpoint query per
-    # window and one per window and shift
+    # window and one per (shift pair, window) item
     assert calls["eval"] == 2 * blocks
     assert calls["breakpoints"] == len(windows) + items
 
