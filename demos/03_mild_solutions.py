@@ -8,7 +8,7 @@ import numpy as np
 
 from aalab.signals import SpikeTrainSpec, constant_signal
 from aalab.spectral import Field, SpectralBasis, field_from_function, mode_field
-from aalab.solver import (ForcingSpec, SolverConfig, global_bound_estimate,
+from aalab.solver import (ForcingSpec, SolverConfig, Stepper, global_bound_estimate,
                           make_nonlinearity, reference_initial_field, solve,
                           step_picard)
 
@@ -50,7 +50,9 @@ out, iterations, dists = step_picard(x0, 0.0, 1e-3, cubic, forcing,
 print(f"refinement distances: " + ", ".join(f"{d:.2e}" for d in dists)
       + f" ({iterations} refinements)")
 radius = max(x0.sup_norm(), out.sup_norm())
-print(f"estimated contraction factor L_R * dt = {cubic.lipschitz(radius) * 1e-3:.2e}")
+gain = Stepper(basis, cubic, forcing).gain(1e-3)
+print(f"contraction factor L_R * gain(dt) = {cubic.lipschitz(radius) * gain:.2e} "
+      f"(gain(dt) = {gain / 1e-3:.4f} dt on the grid)")
 
 print("\n== the bounded reference scenario ==")
 run = solve(x0, SolverConfig(dt=1e-3, horizon=12.0), cubic, forcing)

@@ -12,12 +12,12 @@ the step endpoints (an ETD2-type update), which raises the observed
 convergence order from one to two.  Either way the kernel exp(-lambda_k
 (dt - s)) is integrated in closed form against the profile, so the
 nonlinearity is evaluated once per Picard sweep, on the iterate's grid
-values.  The per-step map is a contraction whenever M * L_R * dt < 1/2,
-where L_R is the local Lipschitz constant of the nonlinearity on the
-current radius; the stepper enforces that margin and reports the iterate
-distances so contraction can be observed, not assumed.  A step ends at the
-first application that moves the grid values by no more than the Picard
-tolerance, which on a decayed state is the frozen one from x(t).
+values.  With L_R the local Lipschitz constant of the nonlinearity on the
+current radius and gain(dt) the grid-sup norm of the step's weight operator,
+the per-step map contracts by q = L_R gain(dt); the stepper enforces q < 1/2
+and reports the iterate distances.  A step ends at the first application
+(on a decayed state the frozen one) whose move d of the grid values meets
+q / (1 - q) d <= picard_tol at order one, or d <= picard_tol at order two.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -357,9 +357,8 @@ class Stepper:
         self.dealias = np.zeros(basis.modes)
         self.dealias[:k_active] = 1.0
         dt = self.config.dt
-        self.decay_dt = np.exp(-self.lam * dt)
-        self._weights_dt = self._fold(*etd_weights(self.lam, dt))
-        self._off_dt = None  # (gap, decay, weights) of the last gap other than dt
+        self._at_dt = [dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)), None]
+        self._off_dt = None  # [gap, decay, weights, gain or None] of the last other gap
         x, w = gauss_nodes(self.config.forcing_nodes)
         rel = 0.5 * dt * (x + 1.0)
         self._default_rel = rel
@@ -374,6 +373,12 @@ class Stepper:
             return self.dealias * (w1 - w2), self.dealias * w2
         return None, self.dealias * w1
 
+    def _off(self, dt):
+        if self._off_dt is None or self._off_dt[0] != dt:
+            self._off_dt = [dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)),
+                            None]
+        return self._off_dt
+
     def _factors(self, dt):
         """(exp(-lam dt), (wx, wy)) for a step of length ``dt``: the decay and
         the per-mode weights of the nonlinear half, dealiasing (the lowest
@@ -383,11 +388,19 @@ class Stepper:
         and (wx, wy) = (w1 - w2, w2).  Cached for the configured dt and, in
         one entry, for the last other gap: the Picard sweeps of a shortened
         step, and the base and step map of a ``mild_residual`` step, reuse it."""
-        if dt == self.config.dt:
-            return self.decay_dt, self._weights_dt
-        if self._off_dt is None or self._off_dt[0] != dt:
-            self._off_dt = (dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)))
-        return self._off_dt[1:]
+        entry = self._at_dt if dt == self.config.dt else self._off(dt)
+        return entry[1], entry[2]
+
+    def gain(self, dt):
+        """Grid-sup norm ||E^T diag(wy) P||_inf of the nonlinear weight
+        operator of a step of length ``dt``: L_R times it is a sweep's
+        contraction factor on grid values.  Computed once per cached dt, 32
+        grid rows at a time (a 257 x 257 temporary raised the peak RSS)."""
+        entry, rows = self._at_dt if dt == self.config.dt else self._off(dt), self.E.T
+        if entry[3] is None:
+            entry[3] = max(float(np.abs((rows[i:i + 32] * entry[2][1]) @ self.P).sum(axis=1).max())
+                           for i in range(0, rows.shape[0], 32))
+        return entry[3]
 
     def nonlinear(self, values):
         """Mode coefficients of g at the grid ``values``: P g(values)."""
@@ -479,16 +492,17 @@ class Stepper:
         ``prepared`` is the pair ``forcing_steps`` yields for this step;
         without it the step is integrated as a block of one.  ``values`` are
         the grid values of ``coeffs`` and ``sup`` their sup norm, if the
-        caller holds them.  Every application, the frozen one from x(t)
-        included, stops the iteration once it moves the grid values by at
-        most ``picard_tol``: with q = L_R dt < 1/2 the accepted iterate is
-        within q / (1 - q) times that tolerance of the fixed point.  Returns
+        caller holds them.  At order one every application, the frozen one
+        from x(t) included, stops the iteration once q / (1 - q) d <=
+        ``picard_tol``, with d its move of the grid values and q = L_R
+        ``gain(dt)`` < 1/2 at the running radius: then the iterate is within
+        the tolerance of the fixed point.  With ``order2``, once d <= it.  Returns
         (new_coeffs, iterations, distances, new_values, new_sup): refinement
         applications after the frozen one (0 if that one was accepted), their
         successive-iterate sup distances (empty unless requested), and the
         last sweep's synthesis and its sup norm.  The sweeps work in buffers
-        kept on the stepper, never returned, and re-check the contraction
-        margin only when a sup raises the radius.
+        kept on the stepper, never returned, and recompute q, checking the
+        margin, only when a sup raises the radius.
         """
         cfg = self.config
         dt = cfg.dt if dt is None else float(dt)
@@ -496,9 +510,10 @@ class Stepper:
             raise ValueError("step dt exceeds the configured dt")
         _, term = prepared if prepared is not None else next(self.forcing_steps([t], [dt]))
         E, P, g, v_buf, tol = self.E, self.P, self.g.fn, self._v_buf, cfg.picard_tol
+        gain, order2 = self.gain(dt), cfg.order2
         vy = coeffs @ E if values is None else values
         radius = float(np.abs(vy).max()) if sup is None else float(sup)
-        self._check_contraction(t, radius, dt)
+        q = self._check_contraction(t, radius, gain)
 
         # the frozen application uses g(x(t)), which order 2 also puts in the base
         gy = np.dot(P, g(vy), out=self._g_buf)
@@ -511,11 +526,11 @@ class Stepper:
             s = float(np.maximum.reduce(np.abs(v_new, out=v_buf)))
             if s > radius:
                 radius = s
-                self._check_contraction(t, radius, dt)
+                q = self._check_contraction(t, radius, gain)
             vy = v_new
             if collect_distances and application > 0:
                 distances.append(d)
-            if d <= tol:
+            if (d if order2 else q / (1.0 - q) * d) <= tol:
                 return y, application, distances, vy, s
             np.dot(P, g(vy), out=gy)
         raise PicardError(
@@ -530,10 +545,12 @@ class Stepper:
         gx = self.nonlinear(coeffs @ self.E)
         return self.step_map(self.base(coeffs, dt, term, gx), dt, gx)
 
-    def _check_contraction(self, t, radius, dt):
-        factor = self.g.lipschitz(radius) * dt  # M = 1 for this semigroup
+    def _check_contraction(self, t, radius, gain):
+        """The factor L_R ``gain`` at ``radius``, if it is below 1/2."""
+        factor = self.g.lipschitz(radius) * gain
         if factor >= 0.5:
             raise NonContractionError(t, radius, factor)
+        return factor
 
 
 def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=None):
