@@ -189,22 +189,6 @@ def cover_ladder(cloud, epsilons):
     return CoverReport(epsilons=epsilons, counts=counts, centers=centers)
 
 
-def optimal_interval_cover(points, eps):
-    """Minimal number of length-eps intervals covering scalar points.
-
-    Left-to-right sweep; optimal on the line, used as the reference the
-    greedy cover is compared against.
-    """
-    pts = np.sort(np.asarray(points, dtype=float).ravel())
-    count = 0
-    i = 0
-    while i < len(pts):
-        count += 1
-        right = pts[i] + eps
-        i = int(np.searchsorted(pts, right, side="right"))
-    return count
-
-
 @dataclass
 class CompactnessReport:
     """Cover counts per sampling density; stability across densities is the

@@ -562,10 +562,9 @@ def aa_translation_test(f, ladder, cfg, windows):
     if shifts.size < 3:
         raise ValueError("ladder needs at least 3 entries")
     windows = np.asarray(windows, dtype=float)
-    span_lo = float(np.min(windows) - np.max(np.abs(shifts)))
-    span_hi = float(np.max(windows) + WINDOW + np.max(np.abs(shifts)))
-    f.require_span(min(span_lo, float(np.min(windows))),
-                   max(span_hi, float(np.max(windows)) + WINDOW))
+    # every pair shifts by a difference of shifts, at most their spread
+    spread = float(np.max(shifts) - np.min(shifts))
+    f.require_span(float(np.min(windows)) - spread, float(np.max(windows)) + WINDOW + spread)
 
     # one item per (shift pair, window), pair (n, m) shifted by
     # shifts[n] - shifts[m]; each item is sp_translation_distance(f, f, tau, t)
@@ -577,7 +576,6 @@ def aa_translation_test(f, ladder, cfg, windows):
         block = slice(b0, b0 + SCAN_BLOCK)
         bps = []
         for j, tau, t in zip(range(b0, taus.size), taus[block], starts[block]):
-            f.require_span(t + tau, t + tau + WINDOW)
             shifted = np.asarray(f.breakpoints(t + tau, t + tau + WINDOW), dtype=float)
             bps.append(np.concatenate([own[j % windows.size], shifted - tau]))
         pts, wts, sizes = quadrature_layouts(starts[block], starts[block] + WINDOW, bps, cfg.nodes)

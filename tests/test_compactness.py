@@ -37,10 +37,23 @@ def test_two_points_need_two_balls():
     assert len(cp.greedy_cover(cloud, 0.5)[0]) == 2
 
 
+def optimal_interval_cover(points, eps):
+    """Minimal number of length-eps intervals covering scalar points: the
+    left-to-right sweep, optimal on the line, the reference the greedy
+    cover is compared against."""
+    pts = np.sort(np.asarray(points, dtype=float).ravel())
+    count = 0
+    i = 0
+    while i < len(pts):
+        count += 1
+        i = int(np.searchsorted(pts, pts[i] + eps, side="right"))
+    return count
+
+
 def test_colinear_grid_greedy_vs_optimal_oracle():
     pts = np.linspace(0.0, 1.0, 101)
     greedy = len(cp.greedy_cover(cp.PointCloud(pts), 0.25)[0])
-    optimal = cp.optimal_interval_cover(pts, 0.25)
+    optimal = optimal_interval_cover(pts, 0.25)
     assert optimal == 4  # brute-force sweep is optimal on the line
     assert greedy == 5   # the deterministic greedy rule lands one above
     assert greedy <= 2 * optimal

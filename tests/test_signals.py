@@ -347,6 +347,35 @@ def test_aa_translation_test_equals_per_pair_distances(name, p):
     assert np.array_equal(report.distances, want)
 
 
+def test_aa_translation_test_span_is_the_shift_spread():
+    """Pairs shift by differences of the ladder, so a positive ladder on a
+    sampled signal needs only its spread around the windows: [10, 11, 12]
+    at window 5 reads [3, 8] of a signal on [0, 20]."""
+    times = np.linspace(0.0, 20.0, 401)
+    f = sg.SampledSignal(times, np.sin(1.7 * times) + 0.3 * np.cos(5.1 * times))
+    shifts, windows = np.array([10.0, 11.0, 12.0]), [5.0]
+    cfg = sg.StepanovConfig(t_min=5.0, t_max=5.0)
+    report = sg.aa_translation_test(f, shifts, cfg, windows)
+    want = np.array([[sg.sp_translation_distance(f, f, tau_n - tau_m, 5.0, cfg.p, cfg.nodes)
+                      for tau_m in shifts] for tau_n in shifts])
+    assert np.array_equal(report.distances, want)
+    assert np.all(report.distances[~np.eye(3, dtype=bool)] > 0)
+
+
+def test_aa_translation_test_spread_past_the_span_raises_before_evaluating(monkeypatch):
+    times = np.linspace(0.0, 20.0, 401)
+    f = sg.SampledSignal(times, np.sin(times))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the signal was evaluated")
+
+    for name in ("eval", "breakpoints"):
+        monkeypatch.setattr(f, name, forbidden)
+    with pytest.raises(sg.SpanError):
+        # spread 14 around the window [5, 6]: needs [-9, 20]
+        sg.aa_translation_test(f, [10.0, 11.0, 24.0], sg.StepanovConfig(), [5.0])
+
+
 def test_aa_translation_test_evaluates_once_per_block(monkeypatch):
     f = sg.sine_signal()
     calls = {"eval": 0, "breakpoints": 0}
