@@ -396,8 +396,9 @@ class Stepper:
         operator of a step of length ``dt``: L_R times it is a sweep's
         contraction factor on grid values.  Computed once per cached dt, 32
         grid rows at a time (a 257 x 257 temporary raised the peak RSS)."""
-        entry, rows = self._at_dt if dt == self.config.dt else self._off(dt), self.E.T
+        entry = self._at_dt if dt == self.config.dt else self._off(dt)
         if entry[3] is None:
+            rows = self.E.T
             entry[3] = max(float(np.abs((rows[i:i + 32] * entry[2][1]) @ self.P).sum(axis=1).max())
                            for i in range(0, rows.shape[0], 32))
         return entry[3]
