@@ -79,6 +79,7 @@ def cmd_simulate(args):
     lines.append(f"spiky_steps = {traj.spiky_steps}")
     lines.append(f"picard_max = {traj.picard_counts.max(initial=0)}")
     lines.append(f"picard_sweeps = {traj.picard_counts.sum() + len(traj.picard_counts)}")
+    lines.append(f"linear_steps = {np.count_nonzero(traj.picard_counts == -1)}")
     lines.append(f"sup_trace_max = {fmt15(np.max(traj.sup_trace))}")
     lines.append(f"blown_up = {traj.blown_up}")
     if traj.blowup_time is not None:

@@ -12,12 +12,12 @@ the step endpoints (an ETD2-type update), which raises the observed
 convergence order from one to two.  Either way the kernel exp(-lambda_k
 (dt - s)) is integrated in closed form against the profile, so the
 nonlinearity is evaluated once per Picard sweep, on the iterate's grid
-values.  With L_R the local Lipschitz constant of the nonlinearity on the
-current radius and gain(dt) the grid-sup norm of the step's weight operator,
-the per-step map contracts by q = L_R gain(dt); the stepper enforces q < 1/2
-and reports the iterate distances.  A step ends at the first application
-(on a decayed state the frozen one) whose move d of the grid values meets
-q / (1 - q) d <= picard_tol at order one, or d <= picard_tol at order two.
+values.  With L_R the Lipschitz constant of g on the radius s and gain(dt)
+the grid-sup norm of the step's weight operator, each sweep contracts by
+q = L_R gain(dt) < 1/2.  A step ends at the first application whose move d
+of the grid values meets q / (1 - q) d <= picard_tol at order one, or d <=
+picard_tol at order two; at order one a state whose nonlinear term, at most
+gain(dt) (|g(0)| + L_R s), is within it takes the linear step (no g) first.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -52,6 +52,7 @@ from .util import open_new
 #: contraction buffers (0.5 MB each at 64 modes and 8 nodes) whatever the
 #: horizon, and is large enough that per-call overhead is negligible.
 FORCING_BLOCK = 128
+_TINY = np.finfo(float).tiny  # linear steps flush coefficients below it to 0
 
 
 class NonContractionError(RuntimeError):
@@ -257,6 +258,7 @@ class SolverConfig:
 class Trajectory:
     """A solved path: stamps, mode coefficients, sup-norm trace, step metadata.
 
+    ``picard_counts`` are refinements per step (-1: a linear step, no g).
     ``spiky`` marks the steps with a forcing breakpoint strictly inside them,
     which were therefore integrated on their own subdivided quadrature layout.
     """
@@ -367,6 +369,8 @@ class Stepper:
         # scratch of every Picard sweep: P g of the iterate, |grid difference|
         self._g_buf = np.empty(basis.modes)
         self._v_buf = np.empty(self.E.shape[1])
+        self._g0 = None  # sup |g(0)|, evaluated when a linear step is first tried
+        self._flush_err = basis.modes * math.sqrt(2.0 / basis.length) * _TINY  # its grid move
 
     def _fold(self, w1, w2):
         if self.config.order2:
@@ -496,10 +500,13 @@ class Stepper:
         caller holds them.  At order one every application, the frozen one
         from x(t) included, stops the iteration once q / (1 - q) d <=
         ``picard_tol``, with d its move of the grid values and q = L_R
-        ``gain(dt)`` < 1/2 at the running radius: then the iterate is within
-        the tolerance of the fixed point.  With ``order2``, once d <= it.  Returns
-        (new_coeffs, iterations, distances, new_values, new_sup): refinement
-        applications after the frozen one (0 if that one was accepted), their
+        ``gain(dt)`` < 1/2 at the running radius r: then the iterate is within
+        the tolerance of the fixed point.  With ``order2``, once d <= it.  At
+        order one, if (q r + gain |g(0)|) / (1 - q) <= ``picard_tol``, the
+        linear step ``base`` (subnormals flushed to 0) is tried first and kept
+        if the same bound holds at its sup.  Returns (new_coeffs, iterations,
+        distances, new_values, new_sup): refinements after the frozen one (0
+        if that one was accepted, -1 for a linear step), their
         successive-iterate sup distances (empty unless requested), and the
         last sweep's synthesis and its sup norm.  The sweeps work in buffers
         kept on the stepper, never returned, and recompute q, checking the
@@ -516,6 +523,18 @@ class Stepper:
         radius = float(np.abs(vy).max()) if sup is None else float(sup)
         q = self._check_contraction(t, radius, gain)
 
+        # the linear step, no g: |E^T wy P g(v0)| <= gain (|g(0)| + L_R s0)
+        if not order2 and q * radius / (1.0 - q) <= tol:
+            if self._g0 is None:
+                self._g0 = float(np.abs(g(np.zeros_like(vy))).max())
+            if (q * radius + gain * self._g0) / (1.0 - q) <= tol:
+                y = self.base(coeffs, dt, term, None)
+                y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
+                v0 = y @ E
+                s0 = float(np.maximum.reduce(np.abs(v0, out=v_buf)))
+                q0 = q if s0 <= radius else self._check_contraction(t, s0, gain)
+                if (q0 * s0 + gain * self._g0 + self._flush_err) / (1.0 - q0) <= tol:
+                    return y, -1, [], v0, s0
         # the frozen application uses g(x(t)), which order 2 also puts in the base
         gy = np.dot(P, g(vy), out=self._g_buf)
         base = self.base(coeffs, dt, term, gy)
@@ -572,8 +591,8 @@ def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=
 
 def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
                 collect_distances=False):
-    """Picard-refined step; returns (field, iterations[, distances]), with 0
-    iterations and no distances when the frozen application is accepted."""
+    """Picard-refined step; returns (field, iterations[, distances]): 0 or -1
+    iterations and no distances for an accepted frozen or linear step."""
     config = config if config is not None else SolverConfig(dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
     coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, dt, collect_distances)

@@ -199,10 +199,12 @@ def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
     assert f"spiky_steps = {expected}" in manifest
 
 
-@pytest.mark.parametrize("config, code", [("reference", 0), ("blowup", 2)])
+@pytest.mark.parametrize("config, code", [("reference", 0), ("blowup", 2), ("decay", 0)])
 def test_simulate_manifest_picard_summary(tmp_path, capsys, monkeypatch, config, code):
-    """picard_max and picard_sweeps (refinements plus one frozen application
-    per step) agree with the counts saved in trajectory.npz."""
+    """picard_max, picard_sweeps (applications of g: refinements plus one
+    frozen application per step, none for a linear step, counted -1) and
+    linear_steps agree with the counts saved in trajectory.npz.  The decay
+    scenario (g = 0) takes only linear steps."""
     monkeypatch.setenv("AALAB_SOLVER__T", "0.3")
     out_dir = tmp_path / config
     assert run_cli(["simulate", "--config", config, "--out", str(out_dir)], capsys)[0] == code
@@ -210,8 +212,11 @@ def test_simulate_manifest_picard_summary(tmp_path, capsys, monkeypatch, config,
         counts = z["picard_counts"]
     assert counts.size > 0
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
-    assert f"picard_max = {int(counts.max())}" in manifest
+    assert f"picard_max = {max(int(counts.max()), 0)}" in manifest
     assert f"picard_sweeps = {int(counts.sum()) + counts.size}" in manifest
+    linear = int(np.count_nonzero(counts == -1))
+    assert f"linear_steps = {linear}" in manifest
+    assert (linear == counts.size) == (config == "decay")
 
 
 def test_simulate_blowup_exit_code(tmp_path, capsys):

@@ -9,7 +9,8 @@ semigroup.  The Picard-loop oracle writes the sweeps out with a contraction
 check, its factor from the dense weight operator, and the stopping test on
 every one, so the step's reused buffers, its check on a growing radius
 only, its acceptance of the frozen application and the sup it takes and
-hands back are each held to it.
+hands back are each held to it.  At order one it first tries the linear
+step, with no g, and its a-priori acceptance test.
 Blocking, the shared base and the single synthesis per sweep change no
 arithmetic, so every check is exact equality, not a tolerance.
 """
@@ -103,19 +104,46 @@ def oracle_check_contraction(stepper, t, radius, dt):
     return factor
 
 
+def oracle_linear_step(stepper, coeffs, t, dt, term, radius, q):
+    """The order-one linear step written out: T(dt) x plus the forcing term,
+    no g, every coefficient below the smallest normal float set to 0.  Tried
+    when (q r + gain |g(0)|) / (1 - q) <= tol at the incoming radius r, and
+    accepted when (q s0 + gain |g(0)| + K sqrt(2 / L) tiny) / (1 - q) <= tol,
+    with s0 its sup and q the factor at the larger of r and s0.  Returns what
+    ``Stepper.step`` returns, with -1 applications of g, or None."""
+    basis, tol, tiny = stepper.basis, stepper.config.picard_tol, np.finfo(float).tiny
+    gain = oracle_gain(basis, False, dt)
+    g0 = float(np.max(np.abs(stepper.g.fn(np.zeros(basis.grid + 1)))))
+    if not (q * radius + gain * g0) / (1.0 - q) <= tol:
+        return None
+    y = np.exp(-basis.eigenvalues * dt) * coeffs + term
+    y = np.where(np.abs(y) < tiny, 0.0, y)
+    values = y @ stepper.E
+    sup = float(np.max(np.abs(values)))
+    q = oracle_check_contraction(stepper, t, max(radius, sup), dt)
+    flush = basis.modes * math.sqrt(2.0 / basis.length) * tiny
+    if (q * sup + gain * g0 + flush) / (1.0 - q) <= tol:
+        return y, -1, [], values, sup
+    return None
+
+
 def oracle_step(stepper, coeffs, t, dt, term):
-    """The Picard loop written out on its own: each sweep applies the step
-    map, synthesizes the iterate, measures its distance d to the last one
-    (x(t) for the frozen application) and checks the contraction margin at
-    the running radius, every sweep; the first iterate that passes the
-    stopping test is accepted, the frozen one too.  The test is q / (1 - q)
-    d <= tol at order one, with q the factor at the running radius, and d
-    <= tol at order two.  Returns what ``Stepper.step`` returns, refinement
-    distances always collected."""
+    """The Picard loop written out on its own: at order one the linear step
+    first, then each sweep applies the step map, synthesizes the iterate,
+    measures its distance d to the last one (x(t) for the frozen
+    application) and checks the contraction margin at the running radius,
+    every sweep; the first iterate that passes the stopping test is
+    accepted, the frozen one too.  The test is q / (1 - q) d <= tol at order
+    one, with q the factor at the running radius, and d <= tol at order two.
+    Returns what ``Stepper.step`` returns, refinement distances always
+    collected."""
     cfg, E = stepper.config, stepper.E
     vx = coeffs @ E
     radius = float(np.max(np.abs(vx)))
-    oracle_check_contraction(stepper, t, radius, dt)
+    q = oracle_check_contraction(stepper, t, radius, dt)
+    linear = None if cfg.order2 else oracle_linear_step(stepper, coeffs, t, dt, term, radius, q)
+    if linear is not None:
+        return linear
     gy = stepper.nonlinear(vx)
     base = stepper.base(coeffs, dt, term, gy)
     previous, distances = vx, []
@@ -224,15 +252,16 @@ def test_unforced_march_bit_identical(ref_basis):
 @pytest.mark.parametrize("profile, amplitude", [("mode1", 1e-9), ("mode3", 0.8)])
 @pytest.mark.parametrize("order2", [False, True])
 def test_decaying_march_accepts_frozen_steps_bit_identical(ref_basis, profile, amplitude, order2):
-    """Unforced marches whose frozen application passes the stopping test:
-    from amplitude 1e-9 every step, from 0.8 * mode 3 the steps after the
-    state has decayed, take no refinement."""
+    """Unforced marches whose steps take no refinement once the state has
+    decayed: from amplitude 1e-9 every step, from 0.8 * mode 3 the later
+    ones.  At order one such steps are linear (-1), at order two frozen (0)."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=1.0, order2=order2)
     x0 = sv.reference_initial_field(ref_basis, profile, amplitude)
     cubic = sv.make_nonlinearity("cubic")
     traj = sv.solve(x0, cfg, cubic)
-    assert np.any(traj.picard_counts == 0)
-    assert np.all(traj.picard_counts == 0) == (amplitude < 1e-6)
+    no_refinement = traj.picard_counts == (0 if order2 else -1)
+    assert np.any(no_refinement)
+    assert np.all(no_refinement) == (amplitude < 1e-6)
     assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
 
 
@@ -248,17 +277,31 @@ def fixed_point_values(stepper, base, dt, values, sweeps=30):
     return values
 
 
-@pytest.mark.parametrize("order2", [False, True])
-def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2):
+def planted_subnormals(basis):
+    """A decayed state, 1e-150 of mode 1, with subnormal coefficients on
+    modes 2 to 7: there a step's decay rounds them back to themselves."""
+    c = sv.reference_initial_field(basis, "mode1", 1e-150).coeffs.copy()
+    c[1:7] = 5e-324 * np.array([3.0, -5.0, 1.0, 2.0, -1.0, 4.0])
+    return c
+
+
+@pytest.mark.parametrize("order2, start, horizon", [
+    pytest.param(False, "mode2", 0.6, id="False"), pytest.param(True, "mode2", 0.6, id="True"),
+    pytest.param(False, "subnormal", 0.05, id="False-subnormal")])
+def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2, start,
+                                                                horizon):
     """The contract of ``picard_tol``: every accepted iterate's grid values
     lie within the tolerance of the step map's fixed point.  Checked on
-    every step of an unforced march whose steps take 0 to 2 refinements,
-    with the fixed point iterated out from the accepted iterate."""
-    cfg = sv.SolverConfig(dt=1e-3, horizon=0.6, order2=order2)
+    every step of unforced marches, with the fixed point iterated out from
+    the accepted iterate: from 0.4 * mode 2 the steps take 2 refinements
+    down to none, and at order one the decayed ones are linear (-1); from a
+    state with subnormal coefficients every step is linear and flushes them."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=horizon, order2=order2)
     cubic = sv.make_nonlinearity("cubic")
     stepper = sv.Stepper(ref_basis, cubic, None, cfg)
     E = ref_basis.eigenfunctions
-    c = sv.reference_initial_field(ref_basis, "mode2", 0.4).coeffs
+    c = (planted_subnormals(ref_basis) if start == "subnormal"
+         else sv.reference_initial_field(ref_basis, start, 0.4).coeffs)
     counts = []
     for j in range(int(round(cfg.horizon / cfg.dt))):
         y, iterations, _, vy, _ = stepper.step(c, j * cfg.dt)
@@ -267,7 +310,12 @@ def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2
         assert float(np.max(np.abs(fixed - vy))) <= cfg.picard_tol
         counts.append(iterations)
         c = y
-    assert 0 in counts and max(counts) > 0
+    if start == "subnormal":
+        assert set(counts) == {-1}
+        assert not np.any((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
+    else:
+        assert (0 if order2 else -1) in counts and max(counts) > 0
+        assert (-1 in counts) != order2
 
 
 @pytest.mark.parametrize("order2", [False, True])
@@ -392,7 +440,8 @@ def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
     ``Stepper.step`` against the loop written out, from states of a forced
     run, one of them starting the spiky step at 26.944, and one ahead of a
     shortened last step; unforced, also from a decayed state, which the
-    frozen application already moves by less than the tolerance."""
+    linear step (order one) or the frozen application (order two) already
+    puts within the tolerance of the fixed point."""
     forcing = forcings["profiled"] if forced else None
     cubic = sv.make_nonlinearity("cubic")
     stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=1e-3, order2=order2))
@@ -406,7 +455,7 @@ def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
         expected = oracle_step(stepper, c, t, dt, term)
         decayed = float(np.max(np.abs(c))) < 1e-6
         if decayed:
-            assert expected[1] == 0 and expected[2] == []
+            assert expected[1] == (0 if order2 else -1) and expected[2] == []
         else:
             assert expected[1] > 1
         assert_same_step(stepper.step(c, t, dt, collect_distances=True), expected)

@@ -249,10 +249,49 @@ def test_picard_zero_nonlinearity_single_iteration(basis, reference_forcing):
                                  reference_forcing)
     refined, iterations = sv.step_picard(x, 0.0, 1e-3, sv.make_nonlinearity("zero"),
                                          reference_forcing)
-    # g = 0 gives a contraction factor of 0: the frozen application is the
-    # fixed point and is accepted with no refinement
-    assert iterations == 0
+    # g = 0 gives a contraction factor of 0 and no nonlinear term: the linear
+    # step is the fixed point and is accepted without evaluating g
+    assert iterations == -1
     assert np.array_equal(refined.coeffs, frozen.coeffs)
+
+
+def test_linear_steps_evaluate_g_once_at_zero(basis):
+    """A march that takes only linear steps calls g once, at the zero grid
+    vector, for the bound gain |g(0)| on the nonlinear term; a march that
+    never tries one does not call it there at all (see
+    ``test_solve_evaluates_g_once_per_sweep_on_grid_vectors``)."""
+    shapes = []
+    traj = sv.solve(sv.reference_initial_field(basis, "mode1", 1e-9),
+                    sv.SolverConfig(dt=1e-3, horizon=0.2), _counting_cubic(shapes))
+    assert np.all(traj.picard_counts == -1)
+    assert shapes == [(basis.grid + 1,)]
+
+
+@pytest.mark.parametrize("g0, linear", [(1e-12, True), (1e-6, False)])
+def test_linear_step_bounds_the_nonlinear_term_by_g_at_zero(basis, g0, linear):
+    """With g constant at g0 and L_R = 0 the step's nonlinear term is gain
+    g0, about 1e-15 or 1e-9: the linear step is taken only where that is
+    within picard_tol, otherwise the frozen application is the fixed point."""
+    g = sv.NonlinearitySpec("constant", lambda r: np.full(np.shape(r), g0), lambda R: 0.0)
+    x = sv.reference_initial_field(basis, "mode1", 1e-9)
+    out, iterations = sv.step_picard(x, 0.0, 1e-3, g)
+    assert iterations == (-1 if linear else 0)
+    exact = sv.step_exponential(x, 0.0, 1e-3, g)
+    assert np.max(np.abs((out.coeffs - exact.coeffs) @ basis.eigenfunctions)) <= 1e-10
+
+
+def test_decayed_order1_march_flushes_subnormal_coefficients(ref_basis):
+    """An unforced order-1 cubic march from 0.5 * mode 1 decays into the
+    subnormal range past t = 22.  Low modes decay by more than 1/2 per step,
+    so a subnormal coefficient there would round back to itself and stay;
+    the linear steps flush them, and the final state holds none."""
+    traj = sv.solve(sv.reference_initial_field(ref_basis, "mode1", 0.5),
+                    sv.SolverConfig(dt=1e-3, horizon=40.0), sv.make_nonlinearity("cubic"))
+    tiny = np.finfo(float).tiny
+    subnormal = np.count_nonzero((traj.coeffs != 0.0) & (np.abs(traj.coeffs) < tiny), axis=1)
+    assert np.max(subnormal) > 0  # the march does pass through subnormal states
+    assert subnormal[-1] == 0
+    assert np.count_nonzero(traj.picard_counts == -1) > 35000
 
 
 def test_picard_iteration_budget_and_geometric_decay(basis, cubic, reference_forcing):
