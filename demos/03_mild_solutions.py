@@ -50,9 +50,9 @@ out, iterations, dists = step_picard(x0, 0.0, 1e-3, cubic, forcing,
 print(f"refinement distances: " + ", ".join(f"{d:.2e}" for d in dists)
       + f" ({iterations} refinements)")
 radius = max(x0.sup_norm(), out.sup_norm())
-gain = Stepper(basis, cubic, forcing).gain(1e-3)
-print(f"contraction factor L_R * gain(dt) = {cubic.lipschitz(radius) * gain:.2e} "
-      f"(gain(dt) = {gain / 1e-3:.4f} dt on the grid)")
+gain = Stepper(basis, cubic, forcing, SolverConfig(dt=1e-3)).gain
+print(f"contraction factor L_R * gain = {cubic.lipschitz(radius) * gain:.2e} "
+      f"(gain = {gain / 1e-3:.4f} dt on the grid)")
 
 print("\n== the bounded reference scenario ==")
 run = solve(x0, SolverConfig(dt=1e-3, horizon=12.0), cubic, forcing)

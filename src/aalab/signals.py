@@ -222,19 +222,15 @@ class Signal:
 
 
 class FunctionSignal(Signal):
-    """Closed-form signal wrapping a vectorized callable."""
+    """Closed-form signal wrapping a vectorized callable, defined on the whole line."""
 
-    def __init__(self, fn, name="signal", breakpoint_fn=None, span=(-np.inf, np.inf)):
+    def __init__(self, fn, name="signal", breakpoint_fn=None):
         self._fn = fn
         self.name = name
         self._breakpoint_fn = breakpoint_fn
-        self.span = (float(span[0]), float(span[1]))
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.size:
-            self.require_span(float(np.min(t)), float(np.max(t)))
-        return self._fn(t)
+        return self._fn(np.asarray(t, dtype=float))
 
     def breakpoints(self, lo, hi):
         if self._breakpoint_fn is None:

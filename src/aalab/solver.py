@@ -12,12 +12,12 @@ the step endpoints (an ETD2-type update), which raises the observed
 convergence order from one to two.  Either way the kernel exp(-lambda_k
 (dt - s)) is integrated in closed form against the profile, so the
 nonlinearity is evaluated once per Picard sweep, on the iterate's grid
-values.  With L_R the Lipschitz constant of g on the radius s and gain(dt)
-the grid-sup norm of the step's weight operator, each sweep contracts by
-q = L_R gain(dt) < 1/2.  A step ends at the first application whose move d
+values.  With L_R the Lipschitz constant of g on the radius s and gain the
+grid-sup norm of the step's weight operator, each sweep contracts by
+q = L_R gain < 1/2.  A step ends at the first application whose move d
 of the grid values meets q / (1 - q) d <= picard_tol at order one, or d <=
 picard_tol at order two; at order one a state whose nonlinear term, at most
-gain(dt) (|g(0)| + L_R s), is within it takes the linear step (no g) first.
+gain (|g(0)| + L_R s), is within it takes the linear step (no g) first.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -33,7 +33,7 @@ places the nonlinearity enters a step: the Picard iteration, the single-step
 helpers and the residual all apply the map to a base formed once per step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 import os
 import re
@@ -345,7 +345,9 @@ def etd_weights(lam, dt):
 
 
 class Stepper:
-    """Reusable single-step engine with cached quadrature factors and weights."""
+    """Single-step engine for steps of the configured ``dt``, with ``decay`` =
+    exp(-lam dt), the weights ``wx`` and ``wy`` of ``base`` and ``step_map``
+    (dealiased) and ``gain`` = ||E^T diag(wy) P||_inf computed once."""
 
     def __init__(self, basis, nonlinearity, forcing=None, config=None):
         self.basis = basis
@@ -355,12 +357,19 @@ class Stepper:
         self.lam = basis.eigenvalues
         self.E = basis.eigenfunctions
         self.P = basis._projection
-        k_active = max(1, (2 * basis.modes) // 3)
-        self.dealias = np.zeros(basis.modes)
-        self.dealias[:k_active] = 1.0
         dt = self.config.dt
-        self._at_dt = [dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)), None]
-        self._off_dt = None  # [gap, decay, weights, gain or None] of the last other gap
+        self.decay = np.exp(-self.lam * dt)
+        dealias = np.zeros(basis.modes)
+        dealias[:max(1, (2 * basis.modes) // 3)] = 1.0  # P g is cut to the lowest 2K/3 modes
+        w1, w2 = etd_weights(self.lam, dt)
+        if self.config.order2:
+            self.wx, self.wy = dealias * (w1 - w2), dealias * w2
+        else:
+            self.wx, self.wy = None, dealias * w1
+        # 32 grid rows at a time: a 257 x 257 temporary raised the peak RSS
+        rows = self.E.T
+        self.gain = max(float(np.abs((rows[i:i + 32] * self.wy) @ self.P).sum(axis=1).max())
+                        for i in range(0, rows.shape[0], 32))
         x, w = gauss_nodes(self.config.forcing_nodes)
         rel = 0.5 * dt * (x + 1.0)
         self._default_rel = rel
@@ -372,48 +381,13 @@ class Stepper:
         self._g0 = None  # sup |g(0)|, evaluated when a linear step is first tried
         self._flush_err = basis.modes * math.sqrt(2.0 / basis.length) * _TINY  # its grid move
 
-    def _fold(self, w1, w2):
-        if self.config.order2:
-            return self.dealias * (w1 - w2), self.dealias * w2
-        return None, self.dealias * w1
-
-    def _off(self, dt):
-        if self._off_dt is None or self._off_dt[0] != dt:
-            self._off_dt = [dt, np.exp(-self.lam * dt), self._fold(*etd_weights(self.lam, dt)),
-                            None]
-        return self._off_dt
-
-    def _factors(self, dt):
-        """(exp(-lam dt), (wx, wy)) for a step of length ``dt``: the decay and
-        the per-mode weights of the nonlinear half, dealiasing (the lowest
-        2K/3 modes) folded in.  The step integral of g is wx P g(x(t)) +
-        wy P g(xhat(t + dt)): at order one wx is None and wy = w1 (see
-        ``etd_weights``); with ``order2``, g runs linearly between the ends
-        and (wx, wy) = (w1 - w2, w2).  Cached for the configured dt and, in
-        one entry, for the last other gap: the Picard sweeps of a shortened
-        step, and the base and step map of a ``mild_residual`` step, reuse it."""
-        entry = self._at_dt if dt == self.config.dt else self._off(dt)
-        return entry[1], entry[2]
-
-    def gain(self, dt):
-        """Grid-sup norm ||E^T diag(wy) P||_inf of the nonlinear weight
-        operator of a step of length ``dt``: L_R times it is a sweep's
-        contraction factor on grid values.  Computed once per cached dt, 32
-        grid rows at a time (a 257 x 257 temporary raised the peak RSS)."""
-        entry = self._at_dt if dt == self.config.dt else self._off(dt)
-        if entry[3] is None:
-            rows = self.E.T
-            entry[3] = max(float(np.abs((rows[i:i + 32] * entry[2][1]) @ self.P).sum(axis=1).max())
-                           for i in range(0, rows.shape[0], 32))
-        return entry[3]
-
     def nonlinear(self, values):
         """Mode coefficients of g at the grid ``values``: P g(values)."""
         return self.P @ self.g.fn(values)
 
-    def forcing_steps(self, starts, gaps, ends=None):
-        """Forcing integrals of the steps [starts[j], ends[j]] of length
-        gaps[j], in order; ``ends`` defaults to starts + gaps, and ``solve``
+    def forcing_steps(self, starts, ends=None):
+        """Forcing integrals of the steps of length dt from ``starts`` to
+        ``ends``, in order; ``ends`` defaults to starts + dt, and ``solve``
         passes the successor stamps, which that sum can miss by a rounding.
 
         Yields one (spiky, term) pair per step: ``term`` is (D * H(t + rel)) @
@@ -421,18 +395,16 @@ class Stepper:
         the step integral (0.0 for a zero forcing), and ``spiky`` tells
         whether a forcing breakpoint lies strictly inside the step, which is
         then split there and gets its own subdivided layout.  Every other
-        step of the configured length shares the cached layout.  Steps are
-        computed FORCING_BLOCK at a time, so a consumer that stops early
-        wastes at most one block.
+        step shares the cached layout.  Steps are computed FORCING_BLOCK at a
+        time, so a consumer that stops early wastes at most one block.
         """
         starts = np.asarray(starts, dtype=float)
-        gaps = np.broadcast_to(np.asarray(gaps, dtype=float), starts.shape)
-        ends = starts + gaps if ends is None else np.asarray(ends, dtype=float)
+        ends = starts + self.config.dt if ends is None else np.asarray(ends, dtype=float)
         for b0 in range(0, starts.size, FORCING_BLOCK):
             block = slice(b0, b0 + FORCING_BLOCK)
-            yield from self._forcing_block(starts[block], gaps[block], ends[block])
+            yield from self._forcing_block(starts[block], ends[block])
 
-    def _forcing_block(self, starts, gaps, ends):
+    def _forcing_block(self, starts, ends):
         if self.forcing.is_zero:
             for _ in range(starts.size):
                 yield False, 0.0
@@ -443,14 +415,12 @@ class Stepper:
         # quadrature_nodes subdivides at
         spiky = (np.searchsorted(bps, starts, side="right")
                  < np.searchsorted(bps, ends, side="left"))
-        own_layout = spiky | (gaps != cfg.dt)
-        own, smooth = np.flatnonzero(own_layout), np.flatnonzero(~own_layout)
+        own, smooth = np.flatnonzero(spiky), np.flatnonzero(~spiky)
         layouts = {}
         for j in own:
-            pts, wts = quadrature_nodes(starts[j], ends[j], bps if spiky[j] else (),
-                                        cfg.forcing_nodes)
+            pts, wts = quadrature_nodes(starts[j], ends[j], bps, cfg.forcing_nodes)
             rel = pts - starts[j]
-            layouts[j] = (rel, wts, np.exp(-np.outer(self.lam, gaps[j] - rel)))
+            layouts[j] = (rel, wts, np.exp(-np.outer(self.lam, cfg.dt - rel)))
         q = self._default_rel.size
         F = self.forcing.mode_values(np.concatenate(
             [(starts[smooth, None] + self._default_rel).ravel()]
@@ -471,16 +441,15 @@ class Stepper:
         for j in range(starts.size):
             yield spiky[j], terms[j]
 
-    def base(self, coeffs, dt, term, gx):
+    def base(self, coeffs, term, gx):
         """The part of a step fixed by its start: T(dt) coeffs plus the forcing
         term, plus with ``order2`` the share wx P g(x(t)) of the nonlinear
         integral, where ``gx`` is ``nonlinear`` at the grid values of ``coeffs``.
         """
-        decay, (wx, _) = self._factors(dt)
-        out = decay * coeffs + term
-        return out if wx is None else out + wx * gx
+        out = self.decay * coeffs + term
+        return out if self.wx is None else out + self.wx * gx
 
-    def step_map(self, base, dt, gy):
+    def step_map(self, base, gy):
         """The variation-of-constants step map: ``base`` plus wy P g(xhat(t + dt)),
         with ``gy`` the ``nonlinear`` values of the iterate at the step's end.
 
@@ -488,10 +457,9 @@ class Stepper:
         ``order2`` it runs linearly from g(x(t)) (inside ``base``) to the
         iterate's.  The Picard iteration applies this map to its own output.
         """
-        return base + self._factors(dt)[1][1] * gy
+        return base + self.wy * gy
 
-    def step(self, coeffs, t, dt=None, collect_distances=False, prepared=None,
-             values=None, sup=None):
+    def step(self, coeffs, t, collect_distances=False, prepared=None, values=None, sup=None):
         """One Picard-refined step from (t, coeffs) to t + dt.
 
         ``prepared`` is the pair ``forcing_steps`` yields for this step;
@@ -500,7 +468,7 @@ class Stepper:
         caller holds them.  At order one every application, the frozen one
         from x(t) included, stops the iteration once q / (1 - q) d <=
         ``picard_tol``, with d its move of the grid values and q = L_R
-        ``gain(dt)`` < 1/2 at the running radius r: then the iterate is within
+        ``gain`` < 1/2 at the running radius r: then the iterate is within
         the tolerance of the fixed point.  With ``order2``, once d <= it.  At
         order one, if (q r + gain |g(0)|) / (1 - q) <= ``picard_tol``, the
         linear step ``base`` (subnormals flushed to 0) is tried first and kept
@@ -513,40 +481,37 @@ class Stepper:
         margin, only when a sup raises the radius.
         """
         cfg = self.config
-        dt = cfg.dt if dt is None else float(dt)
-        if dt > cfg.dt * (1.0 + 1e-12):
-            raise ValueError("step dt exceeds the configured dt")
-        _, term = prepared if prepared is not None else next(self.forcing_steps([t], [dt]))
+        _, term = prepared if prepared is not None else next(self.forcing_steps([t]))
         E, P, g, v_buf, tol = self.E, self.P, self.g.fn, self._v_buf, cfg.picard_tol
-        gain, order2 = self.gain(dt), cfg.order2
+        gain, order2 = self.gain, cfg.order2
         vy = coeffs @ E if values is None else values
         radius = float(np.abs(vy).max()) if sup is None else float(sup)
-        q = self._check_contraction(t, radius, gain)
+        q = self._check_contraction(t, radius)
 
         # the linear step, no g: |E^T wy P g(v0)| <= gain (|g(0)| + L_R s0)
         if not order2 and q * radius / (1.0 - q) <= tol:
             if self._g0 is None:
                 self._g0 = float(np.abs(g(np.zeros_like(vy))).max())
             if (q * radius + gain * self._g0) / (1.0 - q) <= tol:
-                y = self.base(coeffs, dt, term, None)
+                y = self.base(coeffs, term, None)
                 y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
                 v0 = y @ E
                 s0 = float(np.maximum.reduce(np.abs(v0, out=v_buf)))
-                q0 = q if s0 <= radius else self._check_contraction(t, s0, gain)
+                q0 = q if s0 <= radius else self._check_contraction(t, s0)
                 if (q0 * s0 + gain * self._g0 + self._flush_err) / (1.0 - q0) <= tol:
                     return y, -1, [], v0, s0
         # the frozen application uses g(x(t)), which order 2 also puts in the base
         gy = np.dot(P, g(vy), out=self._g_buf)
-        base = self.base(coeffs, dt, term, gy)
+        base = self.base(coeffs, term, gy)
         distances = []
         for application in range(cfg.picard_max_iter + 1):
-            y = self.step_map(base, dt, gy)
+            y = self.step_map(base, gy)
             v_new = y @ E
             d = float(np.maximum.reduce(np.abs(np.subtract(v_new, vy, out=v_buf), out=v_buf)))
             s = float(np.maximum.reduce(np.abs(v_new, out=v_buf)))
             if s > radius:
                 radius = s
-                q = self._check_contraction(t, radius, gain)
+                q = self._check_contraction(t, radius)
             vy = v_new
             if collect_distances and application > 0:
                 distances.append(d)
@@ -558,16 +523,15 @@ class Stepper:
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
         )
 
-    def step_frozen(self, coeffs, t, dt=None):
+    def step_frozen(self, coeffs, t):
         """Single application with the profile frozen at the incoming state."""
-        dt = self.config.dt if dt is None else float(dt)
-        _, term = next(self.forcing_steps([t], [dt]))
+        _, term = next(self.forcing_steps([t]))
         gx = self.nonlinear(coeffs @ self.E)
-        return self.step_map(self.base(coeffs, dt, term, gx), dt, gx)
+        return self.step_map(self.base(coeffs, term, gx), gx)
 
-    def _check_contraction(self, t, radius, gain):
+    def _check_contraction(self, t, radius):
         """The factor L_R ``gain`` at ``radius``, if it is below 1/2."""
-        factor = self.g.lipschitz(radius) * gain
+        factor = self.g.lipschitz(radius) * self.gain
         if factor >= 0.5:
             raise NonContractionError(t, radius, factor)
         return factor
@@ -578,24 +542,25 @@ def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=
     ending at ``iterate`` (default: ``x`` itself, the zeroth Picard iterate).
 
     At order one g is frozen at ``iterate``; with ``order2`` it runs linearly
-    from g(x) to g(iterate).
+    from g(x) to g(iterate).  ``dt`` overrides the step length of ``config``.
     """
-    config = config if config is not None else SolverConfig(dt=dt)
+    config = SolverConfig(dt=dt) if config is None else replace(config, dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    _, term = next(stepper.forcing_steps([t], [dt]))
+    _, term = next(stepper.forcing_steps([t]))
     gx = stepper.nonlinear(x.values)
     gy = gx if iterate is None else stepper.nonlinear(iterate.values)
-    out = stepper.step_map(stepper.base(x.coeffs, dt, term, gx), dt, gy)
+    out = stepper.step_map(stepper.base(x.coeffs, term, gx), gy)
     return Field(x.basis, coeffs=out)
 
 
 def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
                 collect_distances=False):
     """Picard-refined step; returns (field, iterations[, distances]): 0 or -1
-    iterations and no distances for an accepted frozen or linear step."""
-    config = config if config is not None else SolverConfig(dt=dt)
+    iterations and no distances for an accepted frozen or linear step.
+    ``dt`` overrides the step length of ``config``."""
+    config = SolverConfig(dt=dt) if config is None else replace(config, dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, dt, collect_distances)
+    coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, collect_distances)
     out = Field(x.basis, coeffs=coeffs)
     if collect_distances:
         return out, iterations, distances
@@ -622,7 +587,7 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blown_up = False
     blowup_time = None
     last = n_steps
-    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], config.dt, stamps[1:])):
+    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:])):
         spiky[j] = prepared[0]
         coeffs[j + 1], counts[j], _, values, sup = stepper.step(
             coeffs[j], stamps[j], prepared=prepared, values=values, sup=sup)
@@ -738,23 +703,28 @@ def translation_extension(traj, ladder, half_window):
 def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
     """Defect of the variation-of-constants identity between two stamps.
 
-    Re-integrates the stored trajectory from stamp ``i_from`` to ``i_to``
-    with the same forcing quadrature, step weights and profile of g the
-    solver used, and returns the sup-norm gap against the stored endpoint.
-    Requires 0 <= i_from < i_to < len(traj).
+    Re-integrates the stored trajectory from stamp ``i_from`` to ``i_to`` as
+    ``solve`` did, in steps of ``config.dt`` (default: the first stamp gap)
+    that end at the successor stamps, and returns the sup-norm gap against
+    the stored endpoint.  Requires 0 <= i_from < i_to < len(traj) and stamp
+    gaps equal to ``config.dt`` up to rounding (else ValueError).
     """
     if not 0 <= i_from < i_to < len(traj):
         raise ValueError(f"need 0 <= i_from < i_to < {len(traj)}, "
                          f"got i_from = {i_from}, i_to = {i_to}")
     config = config if config is not None else SolverConfig(dt=traj.dt)
+    stamps = traj.stamps[i_from:i_to + 1]
+    # t0 + j dt rounds by at most 1.5 eps max|t|, so any gap, traj.dt too, by 3 eps max|t|
+    worst = float(np.max(np.abs(np.diff(stamps) - config.dt)))
+    if worst > 8.0 * np.finfo(float).eps * float(np.max(np.abs(stamps))):
+        raise ValueError(f"stamp gaps between {i_from} and {i_to} are not steps of "
+                         f"dt = {config.dt:g} (off by up to {worst:.3g})")
     stepper = Stepper(traj.basis, nonlinearity, forcing, config)
     c = traj.coeffs[i_from]
-    gaps = np.diff(traj.stamps[i_from:i_to + 1])
-    steps = stepper.forcing_steps(traj.stamps[i_from:i_to], gaps)
     gx = stepper.nonlinear(c @ stepper.E)
-    for j, dt, (_, term) in zip(range(i_from, i_to), gaps, steps):
+    for j, (_, term) in zip(range(i_from, i_to), stepper.forcing_steps(stamps[:-1], stamps[1:])):
         gy = stepper.nonlinear(traj.coeffs[j + 1] @ stepper.E)
-        c = stepper.step_map(stepper.base(c, dt, term, gx), dt, gy)
+        c = stepper.step_map(stepper.base(c, term, gx), gy)
         gx = gy
     gap = (c - traj.coeffs[i_to]) @ stepper.E
     return float(np.max(np.abs(gap)))
@@ -813,17 +783,19 @@ def load_trajectory(outdir):
     """
     path = os.path.join(outdir, "trajectory.npz")
     try:
-        z = np.load(path, allow_pickle=False)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise ValueError("a single array, not an archive")
-        with z:
-            length, modes, grid = z["basis"]
-            blowup_time = float(z["blowup_time"])
-            return Trajectory(SpectralBasis(length=length, modes=int(modes), grid=int(grid)),
-                              z["stamps"], z["coeffs"], z["sup_trace"], z["picard_counts"],
-                              blown_up=bool(z["blown_up"]),
-                              blowup_time=None if np.isnan(blowup_time) else blowup_time,
-                              spiky=z["spiky"])
+        # np.load(path) would leave the file of a damaged archive to the collector
+        with open(path, "rb") as fh:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an archive")
+            with z:
+                length, modes, grid = z["basis"]
+                blowup_time = float(z["blowup_time"])
+                return Trajectory(SpectralBasis(length=length, modes=int(modes), grid=int(grid)),
+                                  z["stamps"], z["coeffs"], z["sup_trace"], z["picard_counts"],
+                                  blown_up=bool(z["blown_up"]),
+                                  blowup_time=None if np.isnan(blowup_time) else blowup_time,
+                                  spiky=z["spiky"])
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"{path} is not a readable trajectory archive") from exc
 

@@ -1,4 +1,7 @@
+import gc
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -336,8 +339,9 @@ def test_diagnose_without_trajectory_npz_exits_one(tmp_path, capsys):
     assert "trajectory.npz" in err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not-zip"])
-def test_diagnose_on_unreadable_archive_exits_one(tmp_path, capsys, damage):
+def damaged_archive_dir(tmp_path, damage):
+    """A directory whose trajectory.npz is the first 1 000 bytes of a saved
+    decay run (``truncated``) or a CSV file (``not-zip``)."""
     saved = tmp_path / "saved"
     scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("decay"))
     basis = scenario.basis()
@@ -348,9 +352,30 @@ def test_diagnose_on_unreadable_archive_exits_one(tmp_path, capsys, damage):
     bad.mkdir()
     (bad / "trajectory.npz").write_bytes(archive[:1000] if damage == "truncated"
                                          else b"t,sup_norm\n0,1\n")
+    return bad
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-zip"])
+def test_diagnose_on_unreadable_archive_exits_one(tmp_path, capsys, damage):
+    bad = damaged_archive_dir(tmp_path, damage)
     code, _, err = run_cli(["diagnose", "compactness", str(bad)], capsys)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(bad / "trajectory.npz") in lines[0]
     assert "not a readable trajectory archive" in lines[0]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-zip"])
+def test_load_trajectory_closes_a_damaged_archive(tmp_path, monkeypatch, damage):
+    """No file is left open for the garbage collector: a ResourceWarning it
+    raises there would reach ``sys.unraisablehook``."""
+    bad = damaged_archive_dir(tmp_path, damage)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ValueError, match="not a readable trajectory archive"):
+            load_trajectory(str(bad))
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []

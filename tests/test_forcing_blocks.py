@@ -34,19 +34,19 @@ def inside_breakpoints(forcing, t, t_next):
     return bps[(bps > t) & (bps < t_next)]
 
 
-def oracle_forcing_step(stepper, t, dt, t_next=None):
-    """(spiky, term) of the step [t, t_next] of length dt, integrated on its
-    own; t_next defaults to t + dt."""
+def oracle_forcing_step(stepper, t, t_next=None):
+    """(spiky, term) of the step [t, t_next] of the stepper's dt, integrated
+    on its own; t_next defaults to t + dt."""
     forcing, cfg = stepper.forcing, stepper.config
-    t_next = t + dt if t_next is None else t_next
+    t_next = t + cfg.dt if t_next is None else t_next
     inside = inside_breakpoints(forcing, t, t_next)
-    if inside.size == 0 and dt == cfg.dt:
+    if inside.size == 0:
         x, w = gauss_nodes(cfg.forcing_nodes)
         rel, wts = 0.5 * cfg.dt * (x + 1.0), 0.5 * cfg.dt * w
     else:
         pts, wts = quadrature_nodes(t, t_next, inside, cfg.forcing_nodes)
         rel = pts - t
-    D = np.exp(-np.outer(stepper.lam, dt - rel))
+    D = np.exp(-np.outer(stepper.lam, cfg.dt - rel))
     term = 0.0 if forcing.is_zero else (D * forcing.mode_values(t + rel)) @ wts
     return inside.size > 0, term
 
@@ -97,14 +97,15 @@ def oracle_gain(basis, order2, dt):
     return float(np.max(np.abs(E.T @ np.diag(wy) @ basis._projection).sum(axis=1)))
 
 
-def oracle_check_contraction(stepper, t, radius, dt):
-    factor = stepper.g.lipschitz(radius) * oracle_gain(stepper.basis, stepper.config.order2, dt)
+def oracle_check_contraction(stepper, t, radius):
+    cfg = stepper.config
+    factor = stepper.g.lipschitz(radius) * oracle_gain(stepper.basis, cfg.order2, cfg.dt)
     if factor >= 0.5:
         raise sv.NonContractionError(t, radius, factor)
     return factor
 
 
-def oracle_linear_step(stepper, coeffs, t, dt, term, radius, q):
+def oracle_linear_step(stepper, coeffs, t, term, radius, q):
     """The order-one linear step written out: T(dt) x plus the forcing term,
     no g, every coefficient below the smallest normal float set to 0.  Tried
     when (q r + gain |g(0)|) / (1 - q) <= tol at the incoming radius r, and
@@ -112,6 +113,7 @@ def oracle_linear_step(stepper, coeffs, t, dt, term, radius, q):
     with s0 its sup and q the factor at the larger of r and s0.  Returns what
     ``Stepper.step`` returns, with -1 applications of g, or None."""
     basis, tol, tiny = stepper.basis, stepper.config.picard_tol, np.finfo(float).tiny
+    dt = stepper.config.dt
     gain = oracle_gain(basis, False, dt)
     g0 = float(np.max(np.abs(stepper.g.fn(np.zeros(basis.grid + 1)))))
     if not (q * radius + gain * g0) / (1.0 - q) <= tol:
@@ -120,14 +122,14 @@ def oracle_linear_step(stepper, coeffs, t, dt, term, radius, q):
     y = np.where(np.abs(y) < tiny, 0.0, y)
     values = y @ stepper.E
     sup = float(np.max(np.abs(values)))
-    q = oracle_check_contraction(stepper, t, max(radius, sup), dt)
+    q = oracle_check_contraction(stepper, t, max(radius, sup))
     flush = basis.modes * math.sqrt(2.0 / basis.length) * tiny
     if (q * sup + gain * g0 + flush) / (1.0 - q) <= tol:
         return y, -1, [], values, sup
     return None
 
 
-def oracle_step(stepper, coeffs, t, dt, term):
+def oracle_step(stepper, coeffs, t, term):
     """The Picard loop written out on its own: at order one the linear step
     first, then each sweep applies the step map, synthesizes the iterate,
     measures its distance d to the last one (x(t) for the frozen
@@ -140,20 +142,20 @@ def oracle_step(stepper, coeffs, t, dt, term):
     cfg, E = stepper.config, stepper.E
     vx = coeffs @ E
     radius = float(np.max(np.abs(vx)))
-    q = oracle_check_contraction(stepper, t, radius, dt)
-    linear = None if cfg.order2 else oracle_linear_step(stepper, coeffs, t, dt, term, radius, q)
+    q = oracle_check_contraction(stepper, t, radius)
+    linear = None if cfg.order2 else oracle_linear_step(stepper, coeffs, t, term, radius, q)
     if linear is not None:
         return linear
     gy = stepper.nonlinear(vx)
-    base = stepper.base(coeffs, dt, term, gy)
+    base = stepper.base(coeffs, term, gy)
     previous, distances = vx, []
     for application in range(cfg.picard_max_iter + 1):
-        y = stepper.step_map(base, dt, gy)
+        y = stepper.step_map(base, gy)
         values = y @ E
         d = float(np.max(np.abs(values - previous)))
         sup = float(np.max(np.abs(values)))
         radius = max(radius, sup)
-        q = oracle_check_contraction(stepper, t, radius, dt)
+        q = oracle_check_contraction(stepper, t, radius)
         previous = values
         if application > 0:
             distances.append(d)
@@ -175,8 +177,8 @@ def oracle_solve(x0, config, nonlinearity, forcing, t0=0.0):
     coeffs, counts, spiky = [x0.coeffs], [], []
     sup = [float(np.max(np.abs(x0.coeffs @ stepper.E)))]
     for j in range(n_steps):
-        prepared = oracle_forcing_step(stepper, stamps[j], config.dt, stamps[j + 1])
-        c, k, _, _, _ = oracle_step(stepper, coeffs[-1], stamps[j], config.dt, prepared[1])
+        prepared = oracle_forcing_step(stepper, stamps[j], stamps[j + 1])
+        c, k, _, _, _ = oracle_step(stepper, coeffs[-1], stamps[j], prepared[1])
         coeffs.append(c)
         sup.append(float(np.max(np.abs(c @ stepper.E))))
         counts.append(k)
@@ -265,12 +267,12 @@ def test_decaying_march_accepts_frozen_steps_bit_identical(ref_basis, profile, a
     assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
 
 
-def fixed_point_values(stepper, base, dt, values, sweeps=30):
+def fixed_point_values(stepper, base, values, sweeps=30):
     """Grid values of the fixed point of the step map with ``base``, reached
     by applying the map from ``values`` until it stops moving them (or for
     ``sweeps`` applications, far past rounding at these factors)."""
     for _ in range(sweeps):
-        nxt = stepper.step_map(base, dt, stepper.nonlinear(values)) @ stepper.E
+        nxt = stepper.step_map(base, stepper.nonlinear(values)) @ stepper.E
         if np.array_equal(nxt, values):
             break
         values = nxt
@@ -305,8 +307,8 @@ def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2
     counts = []
     for j in range(int(round(cfg.horizon / cfg.dt))):
         y, iterations, _, vy, _ = stepper.step(c, j * cfg.dt)
-        base = stepper.base(c, cfg.dt, 0.0, stepper.nonlinear(c @ E))
-        fixed = fixed_point_values(stepper, base, cfg.dt, vy)
+        base = stepper.base(c, 0.0, stepper.nonlinear(c @ E))
+        fixed = fixed_point_values(stepper, base, vy)
         assert float(np.max(np.abs(fixed - vy))) <= cfg.picard_tol
         counts.append(iterations)
         c = y
@@ -322,12 +324,12 @@ def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2
 @pytest.mark.parametrize("dt", [1e-3, 4e-4])
 def test_gain_matches_dense_row_sums(ref_basis, order2, dt):
     """``Stepper.gain`` against the largest row sum of the dense operator
-    E^T diag(wy) P, at the configured dt and at an off-dt gap; the grid
-    operator's factor is not the continuum's dt: about 1.04 dt and 1.13 dt
-    at order one, 0.54 dt and 0.62 dt at order two on 64 modes."""
+    E^T diag(wy) P, one stepper per dt; the grid operator's factor is not the
+    continuum's dt: about 1.04 dt and 1.13 dt at order one, 0.54 dt and
+    0.62 dt at order two on 64 modes."""
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), None,
-                         sv.SolverConfig(dt=1e-3, order2=order2))
-    gain = stepper.gain(dt)
+                         sv.SolverConfig(dt=dt, order2=order2))
+    gain = stepper.gain
     assert gain == oracle_gain(ref_basis, order2, dt)
     expected = {(False, 1e-3): 1.04, (False, 4e-4): 1.13,
                 (True, 1e-3): 0.54, (True, 4e-4): 0.62}[order2, dt]
@@ -336,7 +338,9 @@ def test_gain_matches_dense_row_sums(ref_basis, order2, dt):
 
 @pytest.mark.parametrize("order2", [False, True])
 def test_mild_residual_bit_identical(ref_basis, forcings, order2):
-    """The residual over stamps whose gaps differ from dt in the last bit."""
+    """The residual over stamps whose gaps differ from dt in the last bit,
+    integrated as ``solve`` integrates them: steps of dt, each ending at the
+    successor stamp."""
     forcing = forcings["literal"]
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2)
     cubic = sv.make_nonlinearity("cubic")
@@ -347,46 +351,59 @@ def test_mild_residual_bit_identical(ref_basis, forcings, order2):
     stepper = sv.Stepper(ref_basis, cubic, forcing, cfg)
     E = ref_basis.eigenfunctions
     c = traj.coeffs[0].copy()
-    for j, dt in enumerate(gaps):
-        _, term = oracle_forcing_step(stepper, traj.stamps[j], dt)
-        base = np.exp(-ref_basis.eigenvalues * dt) * c + term
-        c = oracle_step_map(ref_basis, cubic, order2, base, dt,
+    for j in range(len(gaps)):
+        _, term = oracle_forcing_step(stepper, traj.stamps[j], traj.stamps[j + 1])
+        base = np.exp(-ref_basis.eigenvalues * cfg.dt) * c + term
+        c = oracle_step_map(ref_basis, cubic, order2, base, cfg.dt,
                             traj.coeffs[j] @ E, traj.coeffs[j + 1] @ E)
     expected = float(np.max(np.abs((c - traj.coeffs[-1]) @ E)))
     assert sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg) == expected
 
 
 @pytest.mark.parametrize("order2", [False, True])
-def test_mild_residual_computes_each_off_dt_weight_once(ref_basis, forcings, order2, monkeypatch):
+def test_mild_residual_computes_the_weights_once(ref_basis, forcings, order2, monkeypatch):
+    """One ``etd_weights`` call per residual, at the configured dt, although
+    some stamp gaps differ from it in the last bit."""
     forcing = forcings["literal"]
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2)
     cubic = sv.make_nonlinearity("cubic")
     traj = sv.solve(sv.reference_initial_field(ref_basis, "mode1", 0.5), cfg, cubic,
                     forcing, t0=3.35)
-    gaps = np.diff(traj.stamps)
+    assert np.any(np.diff(traj.stamps) != cfg.dt)
     calls = []
     etd_weights = sv.etd_weights
     monkeypatch.setattr(sv, "etd_weights", lambda lam, dt: calls.append(dt) or etd_weights(lam, dt))
     sv.mild_residual(traj, 0, len(traj) - 1, cubic, forcing, cfg)
-    # one call for the configured dt, then one per run of equal off-dt gaps
-    runs = [g for j, g in enumerate(gaps) if g != cfg.dt and (j == 0 or g != gaps[j - 1])]
-    assert 0 < len(runs) < len(gaps)
-    assert calls == [cfg.dt] + runs
+    assert calls == [cfg.dt]
 
 
-def test_off_dt_weight_cache_bit_identical(ref_basis):
-    """Steps whose gaps alternate, repeat and return to dt, each against the
-    test-local oracle."""
+def test_mild_residual_needs_steps_of_config_dt(ref_basis):
+    """A stride-2 sample of a dt = 1e-3 run is not a march of steps of 1e-3,
+    so the residual raises under that config; with no config the sample's
+    own spacing is the step."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.2)
     cubic = sv.make_nonlinearity("cubic")
-    stepper = sv.Stepper(ref_basis, cubic, None, sv.SolverConfig(dt=1e-3, order2=True))
+    traj = sv.solve(sv.reference_initial_field(ref_basis, "mode1", 0.5), cfg, cubic)
+    sample = sv.Trajectory(ref_basis, traj.stamps[::2], traj.coeffs[::2], traj.sup_trace[::2])
+    with pytest.raises(ValueError, match="not steps of dt = 0.001"):
+        sv.mild_residual(sample, 0, len(sample) - 1, cubic, config=cfg)
+    # 9.4e-6: the stored states solve steps of 1e-3, not of 2e-3
+    assert 0.0 < sv.mild_residual(sample, 0, len(sample) - 1, cubic) < 1e-4
+
+
+def test_step_map_bit_identical_per_dt(ref_basis):
+    """A stepper built at each step length, the configured one's last-bit
+    neighbour included, against the test-local oracle."""
+    cubic = sv.make_nonlinearity("cubic")
     x = sv.reference_initial_field(ref_basis, "mode1", 0.5)
     y = sv.reference_initial_field(ref_basis, "mode2", 0.2)
-    for gap in (4e-4, 4e-4, 1e-3, 4e-4, 7e-4, 1e-3 * (1 - 2 ** -52), 7e-4):
-        base = stepper.base(x.coeffs, gap, 0.0, stepper.nonlinear(x.values))
-        got = stepper.step_map(base, gap, stepper.nonlinear(y.values))
+    for dt in (4e-4, 7e-4, 1e-3, 1e-3 * (1 - 2 ** -52)):
+        stepper = sv.Stepper(ref_basis, cubic, None, sv.SolverConfig(dt=dt, order2=True))
+        base = stepper.base(x.coeffs, 0.0, stepper.nonlinear(x.values))
+        got = stepper.step_map(base, stepper.nonlinear(y.values))
         expected = oracle_step_map(ref_basis, cubic, True,
-                                   np.exp(-ref_basis.eigenvalues * gap) * x.coeffs,
-                                   gap, x.values, y.values)
+                                   np.exp(-ref_basis.eigenvalues * dt) * x.coeffs,
+                                   dt, x.values, y.values)
         assert np.array_equal(got, expected)
 
 
@@ -397,7 +414,7 @@ def check_single_steps(basis, forcing, t, order2):
     x = sv.reference_initial_field(basis, "mode1", 0.5)
     y = sv.reference_initial_field(basis, "mode2", 0.2)
     stepper = sv.Stepper(basis, cubic, forcing, cfg)
-    _, term = oracle_forcing_step(stepper, t, 1e-3)
+    _, term = oracle_forcing_step(stepper, t)
     base = np.exp(-basis.eigenvalues * 1e-3) * x.coeffs + term
     expected = oracle_step_map(basis, cubic, order2, base, 1e-3, x.values, x.values)
     assert np.array_equal(sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg).coeffs, expected)
@@ -407,7 +424,7 @@ def check_single_steps(basis, forcing, t, order2):
     v = x.coeffs @ basis.eigenfunctions
     frozen = oracle_step_map(basis, cubic, order2, base, 1e-3, v, v)
     assert np.array_equal(stepper.step_frozen(x.coeffs, t), frozen)
-    oracle = stepper.step(x.coeffs, t, prepared=oracle_forcing_step(stepper, t, 1e-3))
+    oracle = stepper.step(x.coeffs, t, prepared=oracle_forcing_step(stepper, t))
     out = stepper.step(x.coeffs, t)
     assert np.array_equal(out[0], oracle[0]) and out[1] == oracle[1]
     assert np.array_equal(out[3], out[0] @ basis.eigenfunctions)
@@ -437,30 +454,30 @@ def assert_same_step(got, expected):
 @pytest.mark.parametrize("dt", [1e-3, 4e-4])
 def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
     """Coefficients, iteration count, distances, grid values and sup of
-    ``Stepper.step`` against the loop written out, from states of a forced
-    run, one of them starting the spiky step at 26.944, and one ahead of a
-    shortened last step; unforced, also from a decayed state, which the
-    linear step (order one) or the frozen application (order two) already
-    puts within the tolerance of the fixed point."""
+    ``Stepper.step`` against the loop written out, one stepper per dt, from
+    states of a forced run, one of them starting the spiky step at 26.944 at
+    dt = 1e-3; unforced, also from a decayed state, which the linear step
+    (order one) or the frozen application (order two) already puts within
+    the tolerance of the fixed point."""
     forcing = forcings["profiled"] if forced else None
     cubic = sv.make_nonlinearity("cubic")
-    stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=1e-3, order2=order2))
+    stepper = sv.Stepper(ref_basis, cubic, forcing, sv.SolverConfig(dt=dt, order2=order2))
     states = [(0.25, sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs),
               (26.944, sv.reference_initial_field(ref_basis, "mode3", -0.8).coeffs),
               (3.0, sv.reference_initial_field(ref_basis, "mode2", 1.5).coeffs)]
     if not forced:
         states.append((5.0, sv.reference_initial_field(ref_basis, "mode1", 1e-9).coeffs))
     for t, c in states:
-        _, term = oracle_forcing_step(stepper, t, dt)
-        expected = oracle_step(stepper, c, t, dt, term)
+        _, term = oracle_forcing_step(stepper, t)
+        expected = oracle_step(stepper, c, t, term)
         decayed = float(np.max(np.abs(c))) < 1e-6
         if decayed:
             assert expected[1] == (0 if order2 else -1) and expected[2] == []
         else:
             assert expected[1] > 1
-        assert_same_step(stepper.step(c, t, dt, collect_distances=True), expected)
+        assert_same_step(stepper.step(c, t, collect_distances=True), expected)
         values = c @ ref_basis.eigenfunctions
-        got = stepper.step(c, t, dt, collect_distances=True, values=values,
+        got = stepper.step(c, t, collect_distances=True, values=values,
                            sup=float(np.max(np.abs(values))))
         assert_same_step(got, expected)
 
@@ -478,7 +495,7 @@ def test_step_raises_oracle_noncontraction(ref_basis, amplitude):
     values = c @ ref_basis.eigenfunctions
     sup = float(np.max(np.abs(values)))
     with pytest.raises(sv.NonContractionError) as expected:
-        oracle_step(stepper, c, 1.5, 1e-3, 0.0)
+        oracle_step(stepper, c, 1.5, 0.0)
     assert (expected.value.radius > sup) == (amplitude == 12.5)
     for held in ({}, {"values": values, "sup": sup}):
         with pytest.raises(sv.NonContractionError) as got:
@@ -492,7 +509,7 @@ def test_step_raises_oracle_picard_error(ref_basis, forcings):
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings["profiled"], cfg)
     c = sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs
     with pytest.raises(sv.PicardError) as expected:
-        oracle_step(stepper, c, 2.5, 1e-3, oracle_forcing_step(stepper, 2.5, 1e-3)[1])
+        oracle_step(stepper, c, 2.5, oracle_forcing_step(stepper, 2.5)[1])
     with pytest.raises(sv.PicardError) as got:
         stepper.step(c, 2.5)
     assert str(got.value) == str(expected.value)
@@ -557,7 +574,7 @@ def test_forcing_evaluated_once_per_block(ref_parts, monkeypatch):
                          sv.SolverConfig(dt=1e-3))
     n = 3 * sv.FORCING_BLOCK + 7
     stamps = 2.2 + 1e-3 * np.arange(n)
-    assert sum(1 for _ in stepper.forcing_steps(stamps, 1e-3)) == n
+    assert sum(1 for _ in stepper.forcing_steps(stamps)) == n
     # one breakpoint query and one evaluation per block, smooth or not
     assert calls["mode_values"] == 4
     assert calls["breakpoints"] == 4

@@ -189,12 +189,12 @@ def test_etd_weights_match_quadrature(ref_basis, dt):
     q1, q2 = _quad_weights(lam, dt)
     w1, w2 = sv.etd_weights(lam, dt)
     assert _rel_err(w1, q1) < 1e-13 and _rel_err(w2, q2) < 1e-13
-    # the cached weights of a stepper, dealiasing folded in
+    # the weights of a stepper, dealiasing folded in
     active = max(1, (2 * ref_basis.modes) // 3)
     for order2 in (False, True):
         stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
                              config=sv.SolverConfig(dt=dt, order2=order2))
-        wx, wy = stepper._factors(dt)[1]
+        wx, wy = stepper.wx, stepper.wy
         assert not np.any(wy[active:])
         if order2:
             assert not np.any(wx[active:])
@@ -210,8 +210,8 @@ def test_weights_for_a_shorter_gap(ref_basis, gap):
     q1, q2 = _quad_weights(ref_basis.eigenvalues, gap)
     active = max(1, (2 * ref_basis.modes) // 3)
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
-                         config=sv.SolverConfig(dt=1e-3, order2=True))
-    wx, wy = stepper._factors(gap)[1]
+                         config=sv.SolverConfig(dt=gap, order2=True))
+    wx, wy = stepper.wx, stepper.wy
     assert _rel_err(wx[:active], (q1 - q2)[:active]) < 1e-13
     assert _rel_err(wy[:active], q2[:active]) < 1e-13
 

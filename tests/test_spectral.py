@@ -109,6 +109,18 @@ def test_decay_bound_random_fields():
     assert worst <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("modes, grid", [(16, 128), (64, 256)])
+def test_decay_bound_fails_on_a_flat_topped_field(modes, grid):
+    """The envelope with prefactor 1 does not hold in the sup norm: a
+    flat-topped field settles onto its first mode, whose sup is above the
+    field's (4/pi of it for the constant 1)."""
+    b = sp.SpectralBasis(1.0, modes, grid)
+    f = sp.field_from_function(b, lambda x: np.minimum(1.0, 20.0 * x * (1.0 - x)))
+    report = sp.decay_bound_check(f, np.linspace(0.0, 2.0, 41))
+    assert report.max_ratio == pytest.approx(1.2675, abs=1e-4)
+    assert not report.within_bound
+
+
 def test_decay_bound_needs_nonzero(basis):
     with pytest.raises(ValueError):
         sp.decay_bound_check(sp.Field(basis, coeffs=np.zeros(basis.modes)),
