@@ -136,7 +136,7 @@ class Scenario:
         temporal = self.values["forcing.temporal"]
         profile_id = self.values["forcing.profile"]
         if temporal == "none":
-            return ForcingSpec.none(basis)
+            return ForcingSpec(basis)
         if profile_id == "none":
             raise ConfigError("forcing.profile must be set when forcing.temporal is not none")
         profile = reference_initial_field(basis, profile_id, 1.0)

@@ -68,15 +68,6 @@ def _subdivide(lo, hi, breakpoints):
     return ends, owner, segments
 
 
-def segment_points(lo, hi, breakpoints=()):
-    """Sorted segment endpoints of [lo, hi]: lo, the interior breakpoints, hi.
-
-    Breakpoints outside the open interval are dropped; near-duplicates
-    (closer than 1e-14 times the interval length) are merged.
-    """
-    return _subdivide(np.array([float(lo)]), np.array([float(hi)]), [breakpoints])[0]
-
-
 def quadrature_layouts(lo, hi, breakpoints, nodes=32):
     """Gauss-Legendre layouts of many subdivided intervals in one pass.
 
@@ -108,8 +99,3 @@ def quadrature_nodes(lo, hi, breakpoints=(), nodes=32):
     points, weights, _ = quadrature_layouts([float(lo)], [float(hi)], [breakpoints], nodes)
     return points, weights
 
-
-def integrate(fn, lo, hi, breakpoints=(), nodes=32):
-    """Integrate a vectorized function over [lo, hi] with subdivision."""
-    points, weights = quadrature_nodes(lo, hi, breakpoints, nodes)
-    return float(np.dot(weights, fn(points)))

@@ -166,6 +166,14 @@ def test_simulate_reference_scenario_smoke(tmp_path, capsys, monkeypatch):
     assert not traj.blown_up
 
 
+def test_simulate_horizon_below_half_a_step_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AALAB_SOLVER__T", "0.0004")  # decay steps dt = 1e-3
+    code, _, err = run_cli(["simulate", "--config", "decay", "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:") and "half a step" in err
+
+
 def test_simulate_manifest_records_save_clock(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AALAB_SOLVER__T", "0.05")
     out_dir = tmp_path / "d"

@@ -1,18 +1,22 @@
 """The blocked forcing precompute and the step kernel against per-step oracles.
 
-The forcing oracle integrates each step's forcing on its own: look up the
-step's breakpoints, keep those strictly inside it, lay out its quadrature
-(split at them, or the cached layout if there are none), evaluate H at its
-nodes and contract.  The step-map oracle writes the nonlinear half of the
-step from the basis alone, with the closed-form weights of the exact
-semigroup.  The Picard-loop oracle writes the sweeps out with a contraction
-check, its factor from the dense weight operator, and the stopping test on
-every one, so the step's reused buffers, its check on a growing radius
-only, its acceptance of the frozen application and the sup it takes and
-hands back are each held to it.  At order one it first tries the linear
-step, with no g, and its a-priori acceptance test.
+The forcing oracle integrates each step's forcing on its own, part by part:
+look up the step's breakpoints, keep those strictly inside it, lay out its
+quadrature (split at them, or the cached layout if there are none), and for
+each rank-one part of the forcing sum its signals at the nodes, contract
+them node by node against D * wts and scale by the part's coefficients.
+The step-map oracle writes the nonlinear half of the step from the basis
+alone, with the closed-form weights of the exact semigroup.  The
+Picard-loop oracle writes the sweeps out with a contraction check, its
+factor from the dense weight operator, and the stopping test on every one,
+so the step's reused buffers, its check on a growing radius only, its
+acceptance of the frozen application and the sup it takes and hands back
+are each held to it.  At order one it first tries the linear step, with no
+g, and its a-priori acceptance test.
 Blocking, the shared base and the single synthesis per sweep change no
-arithmetic, so every check is exact equality, not a tolerance.
+arithmetic, so every check is exact equality, not a tolerance.  Only the
+comparison with the forcing formula the per-part contraction replaced has
+a bound, derived from the operation counts of both.
 """
 
 import functools
@@ -34,20 +38,30 @@ def inside_breakpoints(forcing, t, t_next):
     return bps[(bps > t) & (bps < t_next)]
 
 
-def oracle_forcing_step(stepper, t, t_next=None):
-    """(spiky, term) of the step [t, t_next] of the stepper's dt, integrated
-    on its own; t_next defaults to t + dt."""
-    forcing, cfg = stepper.forcing, stepper.config
-    t_next = t + cfg.dt if t_next is None else t_next
-    inside = inside_breakpoints(forcing, t, t_next)
+def step_layout(stepper, t, t_next):
+    """The step's own quadrature layout (rel, wts) and its open breakpoints."""
+    cfg = stepper.config
+    inside = inside_breakpoints(stepper.forcing, t, t_next)
     if inside.size == 0:
         x, w = gauss_nodes(cfg.forcing_nodes)
-        rel, wts = 0.5 * cfg.dt * (x + 1.0), 0.5 * cfg.dt * w
-    else:
-        pts, wts = quadrature_nodes(t, t_next, inside, cfg.forcing_nodes)
-        rel = pts - t
-    D = np.exp(-np.outer(stepper.lam, cfg.dt - rel))
-    term = 0.0 if forcing.is_zero else (D * forcing.mode_values(t + rel)) @ wts
+        return 0.5 * cfg.dt * (x + 1.0), 0.5 * cfg.dt * w, inside
+    pts, wts = quadrature_nodes(t, t_next, inside, cfg.forcing_nodes)
+    return pts - t, wts, inside
+
+
+def oracle_forcing_step(stepper, t, t_next=None):
+    """(spiky, term) of the step [t, t_next] of the stepper's dt, integrated
+    on its own; t_next defaults to t + dt.  The term is the sum over the
+    forcing's parts of coeffs times sum_i h(t + rel_i) (D * wts)[:, i], the
+    node sum taken in node order, with h the sum of the part's signals and
+    D = exp(-lam (dt - rel)); 0.0 for a forcing of no parts."""
+    t_next = t + stepper.config.dt if t_next is None else t_next
+    rel, wts, inside = step_layout(stepper, t, t_next)
+    Dw = np.exp(-np.outer(stepper.lam, stepper.config.dt - rel)) * wts
+    term = 0.0
+    for signals, coeffs in stepper.forcing.parts:
+        h = sum(sig.eval(t + rel) for sig in signals)
+        term = term + sum(h[i] * Dw[:, i] for i in range(rel.size)) * coeffs
     return inside.size > 0, term
 
 
@@ -246,9 +260,9 @@ def test_unforced_march_bit_identical(ref_basis):
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.3)
     x0 = sv.reference_initial_field(ref_basis, "mode2", 0.4)
     cubic = sv.make_nonlinearity("cubic")
-    traj = sv.solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis))
+    traj = sv.solve(x0, cfg, cubic, sv.ForcingSpec(ref_basis))
     assert traj.spiky_steps == 0
-    assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
+    assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec(ref_basis)))
 
 
 @pytest.mark.parametrize("profile, amplitude", [("mode1", 1e-9), ("mode3", 0.8)])
@@ -264,7 +278,7 @@ def test_decaying_march_accepts_frozen_steps_bit_identical(ref_basis, profile, a
     no_refinement = traj.picard_counts == (0 if order2 else -1)
     assert np.any(no_refinement)
     assert np.all(no_refinement) == (amplitude < 1e-6)
-    assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec.none(ref_basis)))
+    assert_same_march(traj, oracle_solve(x0, cfg, cubic, sv.ForcingSpec(ref_basis)))
 
 
 def fixed_point_values(stepper, base, values, sweeps=30):
@@ -546,7 +560,7 @@ def test_spiky_steps_match_per_step_breakpoints(run_main, ref_parts):
 
 
 def test_zero_forcing_queries_and_evaluates_nothing(ref_basis, monkeypatch):
-    forcing = sv.ForcingSpec.none(ref_basis)
+    forcing = sv.ForcingSpec(ref_basis)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("zero forcing was queried")
@@ -561,23 +575,89 @@ def test_zero_forcing_queries_and_evaluates_nothing(ref_basis, monkeypatch):
 
 def test_forcing_evaluated_once_per_block(ref_parts, monkeypatch):
     forcing = ref_parts["forcing"]
-    calls = {"mode_values": 0, "breakpoints": 0}
-    for name in calls:
-        original = getattr(forcing, name)
+    [(signals, _)] = forcing.parts  # profiled: both signals on the profile
+    assert len(signals) == 2
+    evals = [0] * len(signals)
+    for i, sig in enumerate(signals):
+        def counted(t, _i=i, _eval=sig.eval):
+            evals[_i] += 1
+            return _eval(t)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(forcing, name, counted)
+        monkeypatch.setattr(sig, "eval", counted)
+    queries = []
+    breakpoints = forcing.breakpoints
+    monkeypatch.setattr(forcing, "breakpoints",
+                        lambda lo, hi: queries.append(lo) or breakpoints(lo, hi))
     stepper = sv.Stepper(ref_parts["basis"], ref_parts["nonlinearity"], forcing,
                          sv.SolverConfig(dt=1e-3))
     n = 3 * sv.FORCING_BLOCK + 7
     stamps = 2.2 + 1e-3 * np.arange(n)
     assert sum(1 for _ in stepper.forcing_steps(stamps)) == n
-    # one breakpoint query and one evaluation per block, smooth or not
-    assert calls["mode_values"] == 4
-    assert calls["breakpoints"] == 4
+    # one breakpoint query per block, and each signal evaluated once per
+    # block on all its node times, smooth or not
+    assert evals == [4, 4]
+    assert len(queries) == 4
+
+
+# (dt, t0) of windows of 2 FORCING_BLOCK + 30 steps, with spiky steps: the
+# level-3 edges at 26.944 and 27.055, one in each of the first two blocks,
+# and the sine's zero crossing at 27.0, inside a step of 7e-4.
+FORCING_WINDOWS = {"profiled": (1e-3, 26.9), "literal": (1e-3, 26.9), "sine": (7e-4, 26.95)}
+
+
+def window_stamps(mode, n=2 * sv.FORCING_BLOCK + 30):
+    dt, t0 = FORCING_WINDOWS[mode]
+    return dt, t0 + dt * np.arange(n + 1)
+
+
+@pytest.mark.parametrize("mode", ["profiled", "literal", "sine"])
+def test_block_terms_equal_single_step_terms(ref_basis, forcings, mode):
+    """A step's forcing term is the same float computed in a block of
+    FORCING_BLOCK steps as alone, spiky steps and both blocks included."""
+    dt, stamps = window_stamps(mode)
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings[mode],
+                         sv.SolverConfig(dt=dt))
+    blocked = list(stepper.forcing_steps(stamps[:-1], stamps[1:]))
+    spiky = np.array([s for s, _ in blocked])
+    assert spiky.any()
+    for j, (s, term) in enumerate(blocked):
+        [(alone_s, alone)] = stepper.forcing_steps(stamps[j:j + 1], stamps[j + 1:j + 2])
+        assert s == alone_s
+        assert np.array_equal(term, alone)
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a product of n factors (1 + d),
+    |d| <= u, is 1 + theta with |theta| <= gamma_n."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+@pytest.mark.parametrize("mode", ["profiled", "literal", "sine"])
+def test_terms_move_from_the_old_formula_within_rounding(ref_basis, forcings, mode):
+    """Each term against the formula the per-part contraction replaced,
+    (D * mode_values(t + rel)) @ wts.  Both round the exact sum over parts p
+    and nodes i of c_p h_p(t_i) D_i w_i (per mode) from the same c, h, D, w.
+    The old one rounds each node's term up to 4 times (c h per part, their
+    sum, times D, times w) and sums q nodes in some order (q - 1 more); the
+    new one rounds D w, h (D w), c times the node sum, and sums q nodes and
+    then the parts (q - 1 + 1 more).  So each is within gamma_{q+3} A of the
+    exact sum, A = sum_p |c_p| (|h_p| @ (D w)^T), and within twice that of
+    the other; A as computed is at least 1 - gamma_{q+2} of the exact one."""
+    dt, stamps = window_stamps(mode)
+    forcing = forcings[mode]
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcing,
+                         sv.SolverConfig(dt=dt))
+    for j, (_, term) in enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:])):
+        rel, wts, _ = step_layout(stepper, stamps[j], stamps[j + 1])
+        D = np.exp(-np.outer(ref_basis.eigenvalues, dt - rel))
+        old = (D * forcing.mode_values(stamps[j] + rel)) @ wts
+        A = sum(np.abs(coeffs) * (np.abs(sum(sig.eval(stamps[j] + rel) for sig in signals))
+                                  @ (D * wts).T)
+                for signals, coeffs in forcing.parts)
+        q = rel.size
+        bound = 2.0 * gamma(q + 3) * A / (1.0 - gamma(q + 2))
+        assert np.all(np.abs(term - old) <= bound)
 
 
 def _peak_solve_bytes(x0, cfg, nonlinearity, forcing):

@@ -2,44 +2,46 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aalab.quadrature import (MAX_SEGMENTS, SubdivisionOverflow, gauss_nodes, integrate,
-                              quadrature_layouts, quadrature_nodes, segment_points)
+from aalab.quadrature import (MAX_SEGMENTS, SubdivisionOverflow, gauss_nodes,
+                              quadrature_layouts, quadrature_nodes)
 
 
-def test_segment_points_sorted_and_clipped():
-    pts = segment_points(0.0, 1.0, [0.5, -3.0, 0.25, 2.0, 0.25])
-    assert pts[0] == 0.0 and pts[-1] == 1.0
-    assert np.all(np.diff(pts) > 0)
-    assert 0.5 in pts and 0.25 in pts
+def test_layout_segments_sorted_clipped_and_merged():
+    # one node per segment: its midpoint, weighted by the segment's length
+    pts, wts = quadrature_nodes(0.0, 1.0, [0.5, -3.0, 0.25, 2.0, 0.25], nodes=1)
+    assert list(wts) == [0.25, 0.25, 0.5]
+    assert list(pts) == [0.125, 0.375, 0.75]
 
 
 def test_segment_overflow():
     with pytest.raises(SubdivisionOverflow):
-        segment_points(0.0, 1.0, np.linspace(0.05, 0.95, 5000))
+        quadrature_nodes(0.0, 1.0, np.linspace(0.05, 0.95, 5000))
 
 
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
-        segment_points(1.0, 1.0)
+        quadrature_nodes(1.0, 1.0)
 
 
 def test_polynomial_exactness():
     # GL with n nodes integrates degree 2n-1 exactly per segment
-    val = integrate(lambda x: 7 * x ** 5 - x ** 2, 0.0, 2.0, breakpoints=[0.3], nodes=16)
+    pts, wts = quadrature_nodes(0.0, 2.0, [0.3], nodes=16)
+    val = wts @ (7 * pts ** 5 - pts ** 2)
     exact = 7 * 2.0 ** 6 / 6 - 2.0 ** 3 / 3
     assert abs(val - exact) < 1e-13
 
 
 def test_kinked_integrand_with_breakpoint():
-    val = integrate(lambda x: np.abs(np.sin(2 * np.pi * x)), 0.25, 1.25,
-                    breakpoints=[0.5, 1.0], nodes=32)
+    pts, wts = quadrature_nodes(0.25, 1.25, [0.5, 1.0], nodes=32)
+    val = wts @ np.abs(np.sin(2 * np.pi * pts))
     assert abs(val - 2 / np.pi) < 1e-13
 
 
 def test_against_adaptive_oracle():
     fn = lambda x: np.exp(-x) * np.cos(3 * x)
     oracle, _ = quad(fn, 0.0, 2.0, epsabs=1e-13)
-    assert abs(integrate(fn, 0.0, 2.0, nodes=32) - oracle) < 1e-12
+    pts, wts = quadrature_nodes(0.0, 2.0, nodes=32)
+    assert abs(wts @ fn(pts) - oracle) < 1e-12
 
 
 def test_weights_sum_to_length():
@@ -108,8 +110,9 @@ def test_layouts_keep_the_sliver_at_hi():
     # a breakpoint within tolerance of hi merges hi away; hi comes back and
     # leaves a sliver segment, as the per-interval rule always had it
     hi = 1.0
-    pts = segment_points(0.0, hi, [0.5, hi - 4e-15])
-    assert list(pts) == [0.0, 0.5, hi - 4e-15, hi]
+    pts, wts = quadrature_nodes(0.0, hi, [0.5, hi - 4e-15], nodes=1)
+    assert list(pts[:2]) == [0.25, 0.5 * (0.5 + hi - 4e-15)]
+    assert pts[2] == 0.5 * (hi + hi - 4e-15) and 0.0 < wts[2] < 1e-14
     _, _, sizes = quadrature_layouts([0.0, 2.0], [hi, 3.0], [[0.5, hi - 4e-15], []], 16)
     assert list(sizes) == [48, 16]
 

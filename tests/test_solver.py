@@ -7,7 +7,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from aalab import solver as sv
 from aalab import spectral as sp
-from aalab.signals import SpikeTrainSpec, constant_signal
+from aalab.signals import SpikeTrainSignal, SpikeTrainSpec, constant_signal, sine_signal
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +372,34 @@ def test_forcing_sup_signal_matches_grid(basis, reference_forcing):
     assert np.allclose(sig.eval(ts), direct, atol=1e-12)
 
 
+def test_one_part_sup_signal_uses_that_parts_coefficients(basis):
+    """A spike-only literal forcing is one part, on the projection of 1, and
+    ``modulated`` one part on its profile: their sup signals, |h(t)| times
+    the part's grid peak, against the grid maximum.  The projection of 1
+    peaks 17 % above the sine profile on 16 modes (Gibbs), so the peak of the wrong
+    coefficients would show."""
+    h0 = sp.field_from_function(basis, lambda x: np.sin(np.pi * x))
+    spike_only = sv.ForcingSpec(basis, profile=h0, boundary_mode="literal",
+                                spiky=SpikeTrainSignal(SpikeTrainSpec(n_max=3)))
+    modulated = sv.ForcingSpec.modulated(basis, sine_signal(), h0)
+    assert [c is spike_only.flat_coeffs for _, c in spike_only.parts] == [True]
+    assert [c is modulated.profile_coeffs for _, c in modulated.parts] == [True]
+    ts = np.array([0.3, 1.0 / 6.0, 3.0, 9.0, 9.02])
+    for forcing in (spike_only, modulated):
+        direct = np.max(np.abs(forcing.grid_values(ts)), axis=1)
+        assert np.max(direct) > 0.5
+        assert np.allclose(forcing.sup_signal().eval(ts), direct, rtol=1e-13, atol=0.0)
+
+
+def test_no_forcing_is_no_parts(basis):
+    forcing = sv.ForcingSpec(basis)
+    assert forcing.parts == [] and forcing.is_zero
+    ts = np.array([0.0, 3.0, 27.5])
+    assert np.array_equal(forcing.mode_values(ts), np.zeros((basis.modes, 3)))
+    assert forcing.breakpoints(0.0, 100.0).size == 0
+    assert np.array_equal(forcing.sup_signal().eval(ts), np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # bounds, identity residual, extension
 # ---------------------------------------------------------------------------
@@ -379,7 +407,7 @@ def test_forcing_sup_signal_matches_grid(basis, reference_forcing):
 def test_global_bound_zero_forcing_is_companion_sup(basis, cubic):
     companion = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
                          sv.SolverConfig(dt=1e-3, horizon=1.0), cubic)
-    bound = sv.global_bound_estimate(sv.ForcingSpec.none(basis), companion)
+    bound = sv.global_bound_estimate(sv.ForcingSpec(basis), companion)
     assert bound == pytest.approx(np.max(companion.sup_trace))
 
 
@@ -403,6 +431,20 @@ def test_global_bound_dominates_reference_run(basis, cubic, reference_forcing):
     companion = sv.solve(x0, cfg, cubic)
     bound = sv.global_bound_estimate(reference_forcing, companion)
     assert np.all(traj.sup_trace <= bound)
+
+
+@pytest.mark.parametrize("horizon, stamps", [(4e-4, None), (5e-4, None), (6e-4, 2),
+                                             (1.04e-2, 11), (1.06e-2, 12)])
+def test_solve_rounds_the_horizon_to_whole_steps(basis, cubic, horizon, stamps):
+    """A horizon below dt/2 rounds to no step and raises; 5e-4 / 1e-3 rounds
+    half to even, to 0.  Any other rounds to the nearest whole step."""
+    x0 = sv.reference_initial_field(basis, "mode1", 0.5)
+    cfg = sv.SolverConfig(dt=1e-3, horizon=horizon)
+    if stamps is None:
+        with pytest.raises(ValueError, match="less than half a step"):
+            sv.solve(x0, cfg, cubic)
+    else:
+        assert len(sv.solve(x0, cfg, cubic)) == stamps
 
 
 def test_mild_residual_small_on_solved_path(basis, cubic, reference_forcing):
