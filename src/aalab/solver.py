@@ -18,6 +18,9 @@ q = L_R gain < 1/2.  A step ends at the first application whose move d
 of the grid values meets q / (1 - q) d <= picard_tol at order one, or d <=
 picard_tol at order two; at order one a state whose nonlinear term, at most
 gain (|g(0)| + L_R s), is within it takes the linear step (no g) first.
+On an unforced order-one march the steps after a linear step are taken as
+runs of up to FORCING_BLOCK, T(dt)^j x as one running product held row by
+row to the same test (``Stepper.linear_run``), with the floats of the steps.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -36,7 +39,9 @@ single-step helpers and the residual all apply the map to a base formed once
 per step.
 """
 
+import collections
 from dataclasses import dataclass, field, replace
+import itertools
 import math
 import os
 import re
@@ -51,9 +56,11 @@ from .spectral import Field, SpectralBasis, field_from_function, save_field_csv
 from .util import open_new
 
 
-#: Steps whose forcing terms are computed together.  It bounds the node and
-#: contraction buffers (0.5 MB each at 64 modes and 8 nodes) whatever the
-#: horizon, and is large enough that per-call overhead is negligible.
+#: Steps whose forcing terms are computed together, and the longest run of
+#: linear steps.  It bounds the node and contraction buffers (0.5 MB each at
+#: 64 modes and 8 nodes) and a run's grid values (0.26 MB at 257 points)
+#: whatever the horizon, and is large enough that per-call overhead is
+#: negligible.
 FORCING_BLOCK = 128
 _TINY = np.finfo(float).tiny  # linear steps flush coefficients below it to 0
 
@@ -81,7 +88,8 @@ class PicardError(RuntimeError):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Pointwise reaction term g with its local Lipschitz estimator."""
+    """Pointwise reaction term g with its local Lipschitz estimator, which
+    takes a radius or an array of radii."""
 
     name: str
     fn: callable
@@ -274,6 +282,8 @@ class Trajectory:
 
     @property
     def dt(self):
+        if len(self.stamps) < 2:
+            raise ValueError(f"dt needs two stamps; the trajectory has {len(self.stamps)}")
         return float(self.stamps[1] - self.stamps[0])
 
     def field(self, i):
@@ -290,6 +300,9 @@ class Trajectory:
     def restrict(self, t0, t1):
         mask = (self.stamps >= t0 - 1e-12) & (self.stamps <= t1 + 1e-12)
         idx = np.nonzero(mask)[0]
+        if idx.size == 0:
+            raise ValueError(f"window [{t0:g}, {t1:g}] holds no stamp of the trajectory's "
+                             f"span [{self.stamps[0]:g}, {self.stamps[-1]:g}]")
         counts = self.picard_counts[idx[0]:idx[-1]] if self.picard_counts.size else self.picard_counts
         spiky = self.spiky[idx[0]:idx[-1]] if self.spiky.size else self.spiky
         return Trajectory(self.basis, self.stamps[mask], self.coeffs[mask],
@@ -484,13 +497,13 @@ class Stepper:
         if not order2 and q * radius / (1.0 - q) <= tol:
             if self._g0 is None:
                 self._g0 = float(np.abs(g(np.zeros_like(vy))).max())
-            if (q * radius + gain * self._g0) / (1.0 - q) <= tol:
+            if self._linear_bound(q, radius) <= tol:
                 y = self.base(coeffs, term, None)
                 y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
                 v0 = y @ E
                 s0 = float(np.maximum.reduce(np.abs(v0, out=v_buf)))
                 q0 = q if s0 <= radius else self._check_contraction(t, s0)
-                if (q0 * s0 + gain * self._g0 + self._flush_err) / (1.0 - q0) <= tol:
+                if self._linear_bound(q0, s0, self._flush_err) <= tol:
                     return y, -1, [], v0, s0
         # the frozen application uses g(x(t)), which order 2 also puts in the base
         gy = np.dot(P, g(vy), out=self._g_buf)
@@ -514,6 +527,36 @@ class Stepper:
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
         )
+
+    def _linear_bound(self, q, radius, flush_err=0.0):
+        """(q r + gain |g(0)| + flush_err) / (1 - q): with q the factor at
+        the radius r, a bound on how far the linear step of a state of grid
+        sup r (``flush_err`` the grid move of its flush) lies from the step
+        map's fixed point.  Elementwise on arrays of q and r."""
+        return (q * radius + self.gain * self._g0 + flush_err) / (1.0 - q)
+
+    def linear_run(self, coeffs, sup, rows, cap):
+        """Up to ``rows`` linear steps of an unforced order-one march after a
+        linear step to ``coeffs`` (grid sup ``sup``), as one running product
+        T(dt)^j coeffs, flushed once and synthesized row by row: each row is
+        the floats ``step`` gives, since a coefficient below _TINY stays below
+        it under decay < 1.  Returns the coefficients, grid values and sups of
+        the longest prefix that passes ``step``'s linear-step test with sups
+        at most ``cap``; the first row that fails is left to ``step``."""
+        Y = np.empty((rows + 1, self.basis.modes))
+        Y[0], Y[1:] = coeffs, self.decay
+        Y = np.cumprod(Y, axis=0, out=Y)[1:]
+        Y[np.abs(Y) < _TINY] = 0.0
+        V = np.matmul(Y[:, None, :], self.E)[:, 0]  # rows of y @ E; a batched Y @ E differs
+        S = np.abs(V).max(axis=1)
+        R = np.concatenate(([sup], S[:-1]))  # each row's incoming radius
+        q = self.g.lipschitz(R) * self.gain
+        q0 = np.where(S > R, self.g.lipschitz(S) * self.gain, q)  # q again at a raised radius
+        tol = self.config.picard_tol
+        ok = ((q < 0.5) & (q0 < 0.5) & (self._linear_bound(q, R) <= tol)
+              & (self._linear_bound(q0, S, self._flush_err) <= tol) & (S <= cap))
+        n = rows if ok.all() else int(np.argmin(ok))
+        return Y[:n], V[:n], S[:n]
 
     def step_frozen(self, coeffs, t):
         """Single application with the profile frozen at the incoming state."""
@@ -566,7 +609,9 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     that rounds to none (below dt/2) raises ValueError.  Stops early with
     the blow-up flag set if the sup-norm trace exceeds the configured cap;
     that detector is a proxy for the maximal-solution alternative, not a
-    statement about the continuum equation.
+    statement about the continuum equation.  With no forcing, at order one,
+    the steps after a linear step are taken as runs (``Stepper.linear_run``)
+    up to the first that fails, which is stepped alone: the same floats.
     """
     n_steps = int(round(config.horizon / config.dt))
     if n_steps < 1:
@@ -584,7 +629,9 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blown_up = False
     blowup_time = None
     last = n_steps
-    for j, prepared in enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:])):
+    runs = stepper.forcing.is_zero and not config.order2
+    steps = enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:]))
+    for j, prepared in steps:
         spiky[j] = prepared[0]
         coeffs[j + 1], counts[j], _, values, sup = stepper.step(
             coeffs[j], stamps[j], prepared=prepared, values=values, sup=sup)
@@ -594,6 +641,20 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
             blowup_time = float(stamps[j + 1])
             last = j + 1
             break
+        if runs and counts[j] == -1:
+            k = j + 1  # the first step of the next run
+            while k < n_steps:
+                rows = min(FORCING_BLOCK, n_steps - k)
+                Y, V, S = stepper.linear_run(coeffs[k], sup, rows, config.blowup_cap)
+                n = len(Y)
+                coeffs[k + 1:k + 1 + n], sup_trace[k + 1:k + 1 + n] = Y, S
+                counts[k:k + n] = -1
+                if n:
+                    values, sup = V[-1], S[-1]
+                k += n
+                if n < rows:
+                    break
+            collections.deque(itertools.islice(steps, k - j - 1), maxlen=0)
     sl = slice(0, last + 1)
     return Trajectory(x0.basis, stamps[sl], coeffs[sl], sup_trace[sl],
                       counts[:last], blown_up, blowup_time, spiky[:last])

@@ -301,6 +301,121 @@ def planted_subnormals(basis):
     return c
 
 
+def count_steps(monkeypatch):
+    """The t of every ``Stepper.step`` call from here on, in order."""
+    calls = []
+    step = sv.Stepper.step
+    monkeypatch.setattr(sv.Stepper, "step",
+                        lambda self, coeffs, t, *a, **k: calls.append(t) or step(self, coeffs, t, *a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("start, g, horizon", [("mode1", "cubic", 1.3), ("subnormal", "cubic", 0.4),
+                                              ("mode1", "zero", 0.4)])
+def test_linear_runs_bit_identical(ref_basis, monkeypatch, start, g, horizon):
+    """Unforced order-one marches whose linear steps are taken as runs of up
+    to FORCING_BLOCK after the first: from 0.5 * mode 1 (the companion's
+    data) the 788 steps from t = 0.512 on, 1 + 6 full runs + 19; from the
+    decayed state with subnormal coefficients, and with g = 0, where q = 0,
+    all 400 steps, 1 + 3 full runs + 15.  In each, decaying high
+    modes pass through the subnormal range inside the runs, where the run's
+    one flush must set the zeros of a flush per step.  Only the steps up to
+    the first linear one are taken alone."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=horizon)
+    x0 = (sp.Field(ref_basis, coeffs=planted_subnormals(ref_basis)) if start == "subnormal"
+          else sv.reference_initial_field(ref_basis, start, 0.5))
+    nonlinearity = sv.make_nonlinearity(g)
+    calls = count_steps(monkeypatch)
+    traj = sv.solve(x0, cfg, nonlinearity)
+    monkeypatch.undo()
+    linear = np.flatnonzero(traj.picard_counts == -1)
+    assert linear.size > 3 * sv.FORCING_BLOCK and len(traj.picard_counts) % sv.FORCING_BLOCK != 0
+    assert np.all(traj.picard_counts[linear[0]:] == -1)
+    assert len(calls) == linear[0] + 1
+    unflushed = np.exp(-ref_basis.eigenvalues * cfg.dt) * traj.coeffs[linear[0] + 1:-1]
+    assert np.any((unflushed != 0.0) & (np.abs(unflushed) < np.finfo(float).tiny))
+    assert_same_march(traj, oracle_solve(x0, cfg, nonlinearity, sv.ForcingSpec(ref_basis)))
+
+
+#: Coefficients on 16 modes (64 intervals) whose grid sup rises over steps 1
+#: to 5 of dt = 3e-6 under the semigroup alone, by about 1e-5 of itself a
+#: step: the continuum sup falls, but the grid catches more of it.
+RISING = [0.43, -0.51, -0.49, -0.26, -1.0, -0.34, -0.89, -0.72,
+          0.01, 0.79, -0.43, -0.15, 0.26, -0.03, 0.34, -0.73]
+
+
+@pytest.mark.parametrize("cut", ["cap", "post-check", "q-recompute"])
+def test_run_cut_at_a_rising_sup(monkeypatch, cut):
+    """A run cut at state 4, whose grid sup s4 rises above s3 and every sup
+    after the initial one; the step from stamp 3 to 4 must be left to
+    ``Stepper.step``:
+    - ``cap``: g = 0 and the blow-up cap between s3 and s4.  Step 0 is
+      linear, the run after it takes states 2 and 3, and the march stops at
+      stamp 4.
+    - ``post-check``: cubic g at 0.005 times the field, and ``picard_tol``
+      between the bound at the incoming radius s3 and the bound at s4 with
+      the factor q(s3), so s4 fails only the check at its own sup.
+    - ``q-recompute``: ``picard_tol`` between that bound and the one with
+      q(s4), so s4 fails only because its sup raises the radius.
+    In the last two, step 0 from the larger s0 takes a sweep, step 1 is
+    linear, the run after it takes state 3, and step 3 takes a sweep."""
+    basis = sp.SpectralBasis(length=1.0, modes=16, grid=64)
+    dt = 3e-6
+    amplitude = 1.0 if cut == "cap" else 0.005
+    x0 = sp.Field(basis, coeffs=amplitude * np.array(RISING))
+    decay = np.exp(-basis.eigenvalues * dt)
+    s = [float(np.max(np.abs((x0.coeffs * decay ** j) @ basis.eigenfunctions)))
+         for j in range(6)]
+    assert s[1] < s[2] < s[3] < s[4] < s[0]
+    if cut == "cap":
+        g = sv.make_nonlinearity("zero")
+        cfg = sv.SolverConfig(dt=dt, horizon=40 * dt, blowup_cap=0.5 * (s[3] + s[4]))
+    else:
+        g = sv.make_nonlinearity("cubic")
+        gain = oracle_gain(basis, False, dt)
+        q3, q4 = g.lipschitz(s[3]) * gain, g.lipschitz(s[4]) * gain
+        pre, post_q3, post_q4 = q3 * s[3] / (1 - q3), q3 * s[4] / (1 - q3), q4 * s[4] / (1 - q4)
+        assert pre < post_q3 < post_q4
+        lo, hi = (pre, post_q3) if cut == "post-check" else (post_q3, post_q4)
+        cfg = sv.SolverConfig(dt=dt, horizon=40 * dt, picard_tol=math.sqrt(lo * hi))
+    calls = count_steps(monkeypatch)
+    traj = sv.solve(x0, cfg, g)
+    monkeypatch.undo()
+    assert calls[:3] == ([0.0, 3 * dt] if cut == "cap" else [0.0, dt, 3 * dt])
+    if cut == "cap":
+        assert traj.blown_up and len(traj.picard_counts) == 4
+    else:
+        assert traj.picard_counts[3] == 0 and np.all(traj.picard_counts[1:3] == -1)
+    assert_same_march(traj, oracle_solve(x0, cfg, g, sv.ForcingSpec(basis)))
+
+
+def test_run_keeps_the_pre_check_for_any_estimator(ref_basis, monkeypatch):
+    """g = 0, for which any Lipschitz estimate is valid, with one that is 0
+    down to a radius a and L beyond it: the first row whose incoming radius
+    s_k is below a fails the check there, q s_k / (1 - q) > tol, though its
+    own sup s_{k+1} passes the check after it, (q s_{k+1} + flush) / (1 - q)
+    <= tol.  With a nondecreasing estimate the last row's check implies the
+    next one's at its incoming radius; with this one it does not, and the
+    run must leave that row to ``Stepper.step``."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.3)
+    x0 = sv.reference_initial_field(ref_basis, "mode1", 0.5)
+    zero = sv.make_nonlinearity("zero")
+    _, s, counts, _ = oracle_solve(x0, cfg, zero, sv.ForcingSpec(ref_basis))
+    assert np.all(counts == -1)
+    k = 200
+    a = 0.5 * (s[k - 1] + s[k])
+    # q / (1 - q) = tol / alpha with alpha between s_{k+1} and s_k
+    q = cfg.picard_tol / (0.5 * (s[k] + s[k + 1]) + cfg.picard_tol)
+    L = q / oracle_gain(ref_basis, False, cfg.dt)
+    g = sv.NonlinearitySpec("zero", zero.fn, lambda R: L * (np.asarray(R) < a))
+    calls = count_steps(monkeypatch)
+    traj = sv.solve(x0, cfg, g)
+    monkeypatch.undo()
+    assert k * cfg.dt in calls
+    assert traj.picard_counts[k] == 0 and np.all(np.delete(traj.picard_counts, k) == -1)
+    assert_same_march(traj, oracle_solve(x0, cfg, g, sv.ForcingSpec(ref_basis)))
+
+
 @pytest.mark.parametrize("order2, start, horizon", [
     pytest.param(False, "mode2", 0.6, id="False"), pytest.param(True, "mode2", 0.6, id="True"),
     pytest.param(False, "subnormal", 0.05, id="False-subnormal")])

@@ -678,3 +678,19 @@ def test_restrict_and_index(basis):
     assert part.stamps[0] == pytest.approx(0.25)
     assert part.stamps[-1] == pytest.approx(0.75)
     assert traj.index_at(0.5) == 50
+
+
+def test_restrict_to_a_window_without_stamps_names_it(basis):
+    traj = sv.solve(sp.mode_field(basis, 1), sv.SolverConfig(dt=1e-3, horizon=0.01),
+                    sv.make_nonlinearity("zero"))
+    with pytest.raises(ValueError, match=r"window \[5, 6\] holds no stamp .* span \[0, 0.01\]"):
+        traj.restrict(5.0, 6.0)
+
+
+def test_dt_of_a_one_stamp_trajectory_needs_two_stamps(basis):
+    traj = sv.solve(sp.mode_field(basis, 1), sv.SolverConfig(dt=1e-3, horizon=0.01),
+                    sv.make_nonlinearity("zero"))
+    part = traj.restrict(0.005, 0.005)
+    assert len(part) == 1
+    with pytest.raises(ValueError, match="dt needs two stamps; the trajectory has 1"):
+        part.dt
