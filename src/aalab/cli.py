@@ -8,6 +8,7 @@ every verdict can be recomputed from the emitted files alone.
 """
 
 import argparse
+from dataclasses import replace
 import os
 import sys
 import time
@@ -57,6 +58,15 @@ def _emit(lines, out_path):
 # simulate
 # ---------------------------------------------------------------------------
 
+def _counting(nonlinearity, points):
+    """``nonlinearity`` adding the number of values of each evaluation to
+    ``points[0]``: the grid points g is applied to, whatever the batching."""
+    def fn(r):
+        points[0] += np.size(r)
+        return nonlinearity.fn(r)
+    return replace(nonlinearity, fn=fn)
+
+
 def cmd_simulate(args):
     path = _resolve_config_path(args.config)
     scenario = load_scenario(path)
@@ -67,8 +77,9 @@ def cmd_simulate(args):
     forcing = scenario.forcing(basis)
     x0 = scenario.initial_field(basis)
 
+    points = [0]
     start = time.time()
-    traj = solve(x0, cfg, nonlinearity, forcing)
+    traj = solve(x0, cfg, _counting(nonlinearity, points), forcing)
     wall = time.time() - start
     save_trajectory(traj, outdir)
     save_clock = time.time() - start - wall
@@ -78,7 +89,7 @@ def cmd_simulate(args):
     lines.append(f"stamps = {len(traj.stamps)}")
     lines.append(f"spiky_steps = {traj.spiky_steps}")
     lines.append(f"picard_max = {traj.picard_counts.max(initial=0)}")
-    lines.append(f"picard_sweeps = {traj.picard_counts.sum() + len(traj.picard_counts)}")
+    lines.append(f"picard_sweeps = {points[0] // (basis.grid + 1)}")
     lines.append(f"linear_steps = {np.count_nonzero(traj.picard_counts == -1)}")
     lines.append(f"sup_trace_max = {fmt15(np.max(traj.sup_trace))}")
     lines.append(f"blown_up = {traj.blown_up}")

@@ -22,6 +22,23 @@ On an unforced order-one march the steps after a linear step are taken as
 runs of up to FORCING_BLOCK, T(dt)^j x as one running product held row by
 row to the same test (``Stepper.linear_run``), with the floats of the steps.
 
+On a forced order-one march ``solve`` takes the steps PICARD_BLOCK at a
+time, as one Picard iteration over the block (waveform relaxation:
+Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE TCAD 1982; Miekkala and
+Nevanlinna, SIAM J. Sci. Stat. Comput. 1987).  The block's linear part Z,
+T(dt)^m x plus the causal sum of its forcing terms, is formed once; each
+sweep synthesizes the b iterates with one product, applies g once to their
+(b, N + 1) grid values, projects with one product and sets Y = Z + L(wy P g),
+with L the per-mode causal Toeplitz operator of decay^(m - i).  Its factor is q_b = L_R gain_b,
+gain_b the grid-sup norm of the block's nonlinear half over its rows
+(``Stepper.block_gains``), and it stops once q_b / (1 - q_b) d <= picard_tol,
+d the move of all its grid values: then every row lies within picard_tol of
+the block's fixed point, the solution of the implicit step equations over
+the block.  A block whose margin or Picard budget fails halves, down to a
+single step, which is ``Stepper.step``'s sweeps; a start whose linear step
+passes both of its checks takes that step alone.  Unforced marches and
+order two step one at a time.
+
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
 
@@ -29,19 +46,18 @@ The forcing, a sum of rank-one parts (``ForcingSpec.parts``), does not depend
 on the state, so its half of the step integral is computed ahead of the steps,
 FORCING_BLOCK at a time: one breakpoint query per block, each part's signals
 evaluated once on the block's nodes, summed node by node against the cached
-factors D * w and scaled by the part's coefficients.  ``Stepper.forcing_steps``
+factors D * w and scaled by the part's coefficients.  ``Stepper.forcing_blocks``
 is the only place the forcing is integrated, and a step's term is the same
 float in a block as alone; against the full product (D * H(t + rel)) @ w it
 replaced, the terms moved by at most 3.7e-16 of the largest (T = 50
-reference run).  ``Stepper.base`` and ``Stepper.step_map`` are likewise the
-only places the nonlinearity enters a step: the Picard iteration, the
-single-step helpers and the residual all apply the map to a base formed once
-per step.
+reference run).  ``Stepper.base`` and ``Stepper.step_map`` write a single
+step's map: the single-step helpers and the residual apply it to a base
+formed once per step, and the Picard kernel ``Stepper._sweeps`` takes that
+base as the Z of a block of one, whose sweep Y = Z + wy P g is the map.
 """
 
-import collections
 from dataclasses import dataclass, field, replace
-import itertools
+import functools
 import math
 import os
 import re
@@ -62,6 +78,12 @@ from .util import open_new
 #: whatever the horizon, and is large enough that per-call overhead is
 #: negligible.
 FORCING_BLOCK = 128
+#: Order-one steps solved together by one Picard iteration (``Stepper.block``),
+#: a power of two dividing FORCING_BLOCK, so blocks tile a forcing block and
+#: halve down to 1.  On the T = 6 reference march 16 took 0.072-0.074 s in
+#: process and 32 took 0.082-0.086 s: 32 makes more sweeps per block (its
+#: factor is twice as large) and four times the work in the causal product.
+PICARD_BLOCK = 16
 _TINY = np.finfo(float).tiny  # linear steps flush coefficients below it to 0
 
 
@@ -255,7 +277,8 @@ class SolverConfig:
 class Trajectory:
     """A solved path: stamps, mode coefficients, sup-norm trace, step metadata.
 
-    ``picard_counts`` are refinements per step (-1: a linear step, no g).
+    ``picard_counts`` are refinements per step (-1: a linear step, no g); a
+    step solved in a block carries the block's refinements.
     ``spiky`` marks the steps with a forcing breakpoint strictly inside them,
     which were therefore integrated on their own subdivided quadrature layout.
     """
@@ -356,9 +379,11 @@ def _node_sum(h, Dw):
 
 
 class Stepper:
-    """Single-step engine for steps of the configured ``dt``, with ``decay`` =
-    exp(-lam dt), the weights ``wx`` and ``wy`` of ``base`` and ``step_map``
-    (dealiased) and ``gain`` = ||E^T diag(wy) P||_inf computed once."""
+    """Single-step and block engine for steps of the configured ``dt``, with
+    ``decay`` = exp(-lam dt), the weights ``wx`` and ``wy`` of ``base`` and
+    ``step_map`` (dealiased) and ``gain`` = ||E^T diag(wy) P||_inf computed
+    once; ``block_gains`` and the block operators are computed on a block's
+    first use."""
 
     def __init__(self, basis, nonlinearity, forcing=None, config=None):
         self.basis = basis
@@ -384,41 +409,76 @@ class Stepper:
         x, w = gauss_nodes(self.config.forcing_nodes)
         self._rel = 0.5 * dt * (x + 1.0)  # the cached layout's nodes and (K, q) D * w
         self._Dw = np.exp(-np.outer(self.lam, dt - self._rel)) * (0.5 * dt * w)
-        # scratch of every Picard sweep: P g of the iterate, |grid difference|
-        self._g_buf = np.empty(basis.modes)
-        self._v_buf = np.empty(self.E.shape[1])
         self._g0 = None  # sup |g(0)|, evaluated when a linear step is first tried
         self._flush_err = basis.modes * math.sqrt(2.0 / basis.length) * _TINY  # its grid move
+
+    @functools.cached_property
+    def _powers(self):
+        """decay^m for m = 0, ..., PICARD_BLOCK, (PICARD_BLOCK + 1, K)."""
+        return np.cumprod(np.vstack([np.ones(self.basis.modes)] + [self.decay] * PICARD_BLOCK),
+                          axis=0)
+
+    @functools.cached_property
+    def _toeplitz(self):
+        """The causal Toeplitz factors decay^(m - i) of a block, 0 for i > m,
+        (PICARD_BLOCK, PICARD_BLOCK, K)."""
+        lag = np.subtract.outer(np.arange(PICARD_BLOCK), np.arange(PICARD_BLOCK))
+        return np.where((lag >= 0)[:, :, None], self._powers[np.maximum(lag, 0)], 0.0)
+
+    @functools.cached_property
+    def block_gains(self):
+        """{b: the largest row sum of sum_{m < b} |E^T diag(decay^m wy) P|}
+        on the halving ladder b = PICARD_BLOCK, PICARD_BLOCK / 2, ..., 1: the
+        grid-sup norm of the nonlinear half of a block of b steps, over its
+        rows.  b = 1 is ``gain``; the others are computed once per stepper,
+        from the modes that ``wy`` keeps, 32 grid rows at a time."""
+        live = np.flatnonzero(self.wy)
+        rows, P = self.E.T[:, live], self.P[live]
+        w = self.wy[live] * self._powers[:PICARD_BLOCK, live]
+        out = {PICARD_BLOCK >> i: 0.0 for i in range(PICARD_BLOCK.bit_length())}
+        for i in range(0, rows.shape[0], 32):
+            acc = 0.0  # the row sums of the operators 0 to m
+            for m in range(PICARD_BLOCK):
+                acc = acc + np.abs((rows[i:i + 32] * w[m]) @ P).sum(axis=1)
+                if m + 1 in out:
+                    out[m + 1] = max(out[m + 1], float(acc.max()))
+        out[1] = self.gain  # the same norm, with the floats of a single step
+        return out
 
     def nonlinear(self, values):
         """Mode coefficients of g at the grid ``values``: P g(values)."""
         return self.P @ self.g.fn(values)
 
-    def forcing_steps(self, starts, ends=None):
+    def forcing_blocks(self, starts, ends=None):
         """Forcing integrals of the steps of length dt from ``starts`` to
-        ``ends``, in order; ``ends`` defaults to starts + dt, and ``solve``
-        passes the successor stamps, which that sum can miss by a rounding.
+        ``ends``, FORCING_BLOCK steps at a time; ``ends`` defaults to starts +
+        dt, and ``solve`` passes the successor stamps, which that sum can miss
+        by a rounding.
 
-        Yields one (spiky, term) pair per step: ``term`` is the forcing part
-        of the step integral (0.0 for a zero forcing), the sum over the parts
-        of coeffs times sum_i h(t + rel_i) (D * wts)[:, i] on the step's
-        layout (rel, wts), D = exp(-lam (dt - rel)).  ``spiky`` tells whether
-        a forcing breakpoint lies strictly inside the step, which then gets
-        its own layout split there; every other step shares the cached one.
-        Steps are computed FORCING_BLOCK at a time, so a consumer that stops
-        early wastes at most one block; a step's term is the same in any.
+        Yields one (spiky, terms) pair of arrays per block, (n,) and (n, K):
+        a step's term is the forcing part of its step integral (0 for a zero
+        forcing), the sum over the parts of coeffs times sum_i h(t + rel_i)
+        (D * wts)[:, i] on the step's layout (rel, wts), D = exp(-lam (dt -
+        rel)).  ``spiky`` tells whether a forcing breakpoint lies strictly
+        inside the step, which then gets its own layout split there; every
+        other step shares the cached one.  A consumer that stops early wastes
+        at most one block; a step's term is the same in any.
         """
         starts = np.asarray(starts, dtype=float)
         ends = starts + self.config.dt if ends is None else np.asarray(ends, dtype=float)
         for b0 in range(0, starts.size, FORCING_BLOCK):
             block = slice(b0, b0 + FORCING_BLOCK)
-            yield from self._forcing_block(starts[block], ends[block])
+            yield self._forcing_block(starts[block], ends[block])
+
+    def forcing_steps(self, starts, ends=None):
+        """The (spiky, term) pair of each step of ``forcing_blocks``."""
+        for spiky, terms in self.forcing_blocks(starts, ends):
+            yield from zip(spiky, terms)
 
     def _forcing_block(self, starts, ends):
+        terms = np.zeros((starts.size, self.basis.modes))
         if self.forcing.is_zero:
-            for _ in range(starts.size):
-                yield False, 0.0
-            return
+            return np.zeros(starts.size, dtype=bool), terms
         cfg = self.config
         bps = np.sort(self.forcing.breakpoints(starts[0], ends[-1]))
         # spiky: a breakpoint strictly inside the step, the only kind
@@ -434,7 +494,6 @@ class Stepper:
         times = np.concatenate([(starts[smooth, None] + self._rel).ravel()]
                                + [starts[j] + layouts[j][0] for j in own])
         n, q = smooth.size, self._rel.size
-        terms = np.zeros((starts.size, self.basis.modes))
         for signals, coeffs in self.forcing.parts:
             h = sum(sig.eval(times) for sig in signals)  # each signal once per block
             terms[smooth] += _node_sum(h[:n * q].reshape(n, q), self._Dw) * coeffs
@@ -443,8 +502,7 @@ class Stepper:
                 rel, Dw = layouts[j]
                 terms[j] += _node_sum(h[None, col:col + rel.size], Dw)[0] * coeffs
                 col += rel.size
-        for j in range(starts.size):
-            yield spiky[j], terms[j]
+        return spiky, terms
 
     def base(self, coeffs, term, gx):
         """The part of a step fixed by its start: T(dt) coeffs plus the forcing
@@ -465,7 +523,8 @@ class Stepper:
         return base + self.wy * gy
 
     def step(self, coeffs, t, collect_distances=False, prepared=None, values=None, sup=None):
-        """One Picard-refined step from (t, coeffs) to t + dt.
+        """One Picard-refined step from (t, coeffs) to t + dt, a block of one
+        for ``_sweeps``.
 
         ``prepared`` is the pair ``forcing_steps`` yields for this step;
         without it the step is integrated as a block of one.  ``values`` are
@@ -481,52 +540,131 @@ class Stepper:
         distances, new_values, new_sup): refinements after the frozen one (0
         if that one was accepted, -1 for a linear step), their
         successive-iterate sup distances (empty unless requested), and the
-        last sweep's synthesis and its sup norm.  The sweeps work in buffers
-        kept on the stepper, never returned, and recompute q, checking the
-        margin, only when a sup raises the radius.
+        last sweep's synthesis and its sup norm.  q is recomputed, checking
+        the margin, only when a sup raises the radius.
         """
-        cfg = self.config
         _, term = prepared if prepared is not None else next(self.forcing_steps([t]))
-        E, P, g, v_buf, tol = self.E, self.P, self.g.fn, self._v_buf, cfg.picard_tol
-        gain, order2 = self.gain, cfg.order2
-        vy = coeffs @ E if values is None else values
+        vy = coeffs @ self.E if values is None else values
         radius = float(np.abs(vy).max()) if sup is None else float(sup)
         q = self._check_contraction(t, radius)
-
-        # the linear step, no g: |E^T wy P g(v0)| <= gain (|g(0)| + L_R s0)
-        if not order2 and q * radius / (1.0 - q) <= tol:
-            if self._g0 is None:
-                self._g0 = float(np.abs(g(np.zeros_like(vy))).max())
-            if self._linear_bound(q, radius) <= tol:
-                y = self.base(coeffs, term, None)
-                y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
-                v0 = y @ E
-                s0 = float(np.maximum.reduce(np.abs(v0, out=v_buf)))
-                q0 = q if s0 <= radius else self._check_contraction(t, s0)
-                if self._linear_bound(q0, s0, self._flush_err) <= tol:
-                    return y, -1, [], v0, s0
+        linear = self._linear_step(coeffs, t, term, q, radius)
+        if linear is not None:
+            y, v0, s0 = linear
+            return y, -1, [], v0, s0
         # the frozen application uses g(x(t)), which order 2 also puts in the base
-        gy = np.dot(P, g(vy), out=self._g_buf)
-        base = self.base(coeffs, term, gy)
+        gx = self.nonlinear(vy)
         distances = []
+        y, iterations, v, s = self._sweeps(t, self.base(coeffs, term, gx), gx, vy, radius, q,
+                                           self.gain, distances if collect_distances else None)
+        return y, iterations, distances, v, float(s)
+
+    def block(self, coeffs, t, terms, values, sup):
+        """Order-one steps from (t, coeffs), with grid values ``values`` of
+        sup ``sup``, one per row of the forcing ``terms``.  Like ``step`` it
+        checks the single-step margin and takes the linear step where that
+        passes (one row, -1 refinements).  Otherwise the steps are solved
+        together by ``_sweeps``, g frozen at x(t) for the first sweep, with
+        the block gain of the smallest rung of ``block_gains`` at or above
+        their number b.  A block whose margin fails, or whose Picard budget
+        runs out, halves; at b = 1 its sweeps are ``step``'s, floats,
+        NonContractionError and PicardError alike.  Returns (coeffs,
+        refinements, grid values, sups) of the rows taken, the block's
+        refinements standing for each of its steps.  ``solve`` calls it on
+        every step of a forced order-one march."""
+        q = self._check_contraction(t, sup)  # every rung's gain is at least gain
+        linear = self._linear_step(coeffs, t, terms[0], q, sup)
+        if linear is not None:
+            y, v, s = linear
+            return y[None], -1, v[None], np.array([s])
+        gx = self.nonlinear(values)
+        b = len(terms)
+        while True:
+            gain = self.block_gains[1 << (b - 1).bit_length()]
+            try:
+                q = self._check_contraction(t, sup, gain)
+                Z = self._powers[1:b + 1] * coeffs + self._causal(terms[:b])
+                Y, iterations, V, S = self._sweeps(t, Z if b > 1 else Z[0], gx, values, sup,
+                                                   q, gain)
+                return np.atleast_2d(Y), iterations, np.atleast_2d(V), np.atleast_1d(S)
+            except (NonContractionError, PicardError):
+                if b == 1:
+                    raise
+                b //= 2
+
+    def _causal(self, U):
+        """L U over a block of b = len(U) steps: row m is sum_{i <= m}
+        decay^(m - i) U_i per mode, one (b, b, K) contraction; at b = 1, U."""
+        b = len(U)
+        return U if b == 1 else np.einsum("mik,ik->mk", self._toeplitz[:b, :b], U)
+
+    def _sweeps(self, t, Z, G, values, radius, q, gain, distances=None):
+        """The Picard iteration of a block of b steps, the one kernel of
+        ``step`` and ``block``.
+
+        ``Z`` (b, K), or (K,) for a single step, holds each step's part fixed
+        by the start: T(dt)^m x plus the causal sum of the forcing terms (a
+        single step's ``base``).  Each sweep sets
+        Y = Z + L(wy G), synthesizes the b iterates with one product, and
+        projects g of them with one, G (K,) for the frozen first sweep from
+        ``values``, the incoming grid values.  q = L_R ``gain`` is the factor
+        at the running ``radius``, rechecked when a sweep's sup raises it;
+        the iteration stops once q / (1 - q) d <= ``picard_tol`` (d <= it
+        with ``order2``), d the sweep's move of the grid values over the
+        block.  A single step synthesizes and projects with vector products,
+        the floats of ``step_map`` and ``nonlinear``.  Returns (Y, refinements,
+        grid values, their row sups); raises NonContractionError and
+        PicardError with the start's t.
+        """
+        cfg = self.config
+        tol, order2, E, P, g = cfg.picard_tol, cfg.order2, self.E, self.P, self.g.fn
+        top = np.maximum.reduce  # a ufunc method: .max() costs a Python-level wrapper a call
         for application in range(cfg.picard_max_iter + 1):
-            y = self.step_map(base, gy)
-            v_new = y @ E
-            d = float(np.maximum.reduce(np.abs(np.subtract(v_new, vy, out=v_buf), out=v_buf)))
-            s = float(np.maximum.reduce(np.abs(v_new, out=v_buf)))
+            wG = self.wy * G
+            Y = Z + (wG if Z.ndim == 1 else self._causal(np.broadcast_to(wG, Z.shape)))
+            V = Y @ E
+            d = float(top(np.abs(V - values), axis=None))
+            S = top(np.abs(V), axis=-1)
+            s = float(S if S.ndim == 0 else top(S))
             if s > radius:
                 radius = s
-                q = self._check_contraction(t, radius)
-            vy = v_new
-            if collect_distances and application > 0:
+                q = self._check_contraction(t, radius, gain)
+            values = V
+            if distances is not None and application > 0:
                 distances.append(d)
             if (d if order2 else q / (1.0 - q) * d) <= tol:
-                return y, application, distances, vy, s
-            np.dot(P, g(vy), out=gy)
+                return Y, application, V, S
+            G = (P @ g(V).T).T
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
         )
+
+    def _linear_step(self, coeffs, t, term, q, radius):
+        """The linear step from (t, coeffs), no g: its (coeffs, grid values,
+        sup) if the state, of grid sup r = ``radius`` and factor q, passes
+        ``_tries_linear`` and the step passes the same bound at its own sup
+        (|E^T wy P g(v0)| <= gain (|g(0)| + L_R s0)); None otherwise."""
+        if not self._tries_linear(q, radius):
+            return None
+        y = self.base(coeffs, term, None)
+        y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
+        v0 = y @ self.E
+        s0 = float(np.abs(v0).max())
+        q0 = q if s0 <= radius else self._check_contraction(t, s0)
+        if self._linear_bound(q0, s0, self._flush_err) <= self.config.picard_tol:
+            return y, v0, s0
+        return None
+
+    def _tries_linear(self, q, radius):
+        """Whether an order-one state of grid sup r = ``radius`` tries the
+        linear step: (q r + gain |g(0)|) / (1 - q) <= ``picard_tol``, with q
+        the factor at r; g(0) is evaluated when this can first pass."""
+        tol = self.config.picard_tol
+        if self.config.order2 or not q * radius / (1.0 - q) <= tol:
+            return False
+        if self._g0 is None:
+            self._g0 = float(np.abs(self.g.fn(np.zeros(self.E.shape[1]))).max())
+        return self._linear_bound(q, radius) <= tol
 
     def _linear_bound(self, q, radius, flush_err=0.0):
         """(q r + gain |g(0)| + flush_err) / (1 - q): with q the factor at
@@ -542,7 +680,8 @@ class Stepper:
         the floats ``step`` gives, since a coefficient below _TINY stays below
         it under decay < 1.  Returns the coefficients, grid values and sups of
         the longest prefix that passes ``step``'s linear-step test with sups
-        at most ``cap``; the first row that fails is left to ``step``."""
+        at most ``cap``; ``solve`` leaves the first row that fails to
+        ``block``."""
         Y = np.empty((rows + 1, self.basis.modes))
         Y[0], Y[1:] = coeffs, self.decay
         Y = np.cumprod(Y, axis=0, out=Y)[1:]
@@ -564,9 +703,10 @@ class Stepper:
         gx = self.nonlinear(coeffs @ self.E)
         return self.step_map(self.base(coeffs, term, gx), gx)
 
-    def _check_contraction(self, t, radius):
-        """The factor L_R ``gain`` at ``radius``, if it is below 1/2."""
-        factor = self.g.lipschitz(radius) * self.gain
+    def _check_contraction(self, t, radius, gain=None):
+        """The factor L_R ``gain`` at ``radius`` (a block's gain if given), if
+        it is below 1/2."""
+        factor = self.g.lipschitz(radius) * (self.gain if gain is None else gain)
         if factor >= 0.5:
             raise NonContractionError(t, radius, factor)
         return factor
@@ -609,9 +749,14 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     that rounds to none (below dt/2) raises ValueError.  Stops early with
     the blow-up flag set if the sup-norm trace exceeds the configured cap;
     that detector is a proxy for the maximal-solution alternative, not a
-    statement about the continuum equation.  With no forcing, at order one,
-    the steps after a linear step are taken as runs (``Stepper.linear_run``)
-    up to the first that fails, which is stepped alone: the same floats.
+    statement about the continuum equation.  The forcing terms are read a
+    forcing block at a time.  A forced order-one march takes its steps in
+    blocks of up to PICARD_BLOCK inside a forcing block (``Stepper.block``),
+    the first row above the cap ending the march.  Unforced marches and
+    order two step one at a time (``Stepper.step``); with no forcing, at
+    order one, the steps after a linear step are taken as runs
+    (``Stepper.linear_run``) up to the first that fails, which is stepped
+    alone: the same floats.
     """
     n_steps = int(round(config.horizon / config.dt))
     if n_steps < 1:
@@ -630,31 +775,43 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blowup_time = None
     last = n_steps
     runs = stepper.forcing.is_zero and not config.order2
-    steps = enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:]))
-    for j, prepared in steps:
-        spiky[j] = prepared[0]
-        coeffs[j + 1], counts[j], _, values, sup = stepper.step(
-            coeffs[j], stamps[j], prepared=prepared, values=values, sup=sup)
-        sup_trace[j + 1] = sup
-        if sup_trace[j + 1] > config.blowup_cap:
-            blown_up = True
-            blowup_time = float(stamps[j + 1])
-            last = j + 1
-            break
-        if runs and counts[j] == -1:
-            k = j + 1  # the first step of the next run
-            while k < n_steps:
-                rows = min(FORCING_BLOCK, n_steps - k)
-                Y, V, S = stepper.linear_run(coeffs[k], sup, rows, config.blowup_cap)
+    in_blocks = not (stepper.forcing.is_zero or config.order2)
+    cap = config.blowup_cap
+    j = 0  # the steps taken
+    blocks = stepper.forcing_blocks(stamps[:-1], stamps[1:])
+    for b0, (block_spiky, terms) in zip(range(0, n_steps, FORCING_BLOCK), blocks):
+        spiky[b0:b0 + len(terms)] = block_spiky
+        while j < b0 + len(terms) and not blown_up:
+            i = j - b0
+            if in_blocks:
+                Y, k, V, S = stepper.block(coeffs[j], stamps[j], terms[i:i + PICARD_BLOCK],
+                                           values, sup)
+                m = len(Y)
+                if np.maximum.reduce(S) > cap:  # the march ends at the first row above the cap
+                    m = int(np.argmax(S > cap)) + 1
+                coeffs[j + 1:j + 1 + m], sup_trace[j + 1:j + 1 + m] = Y[:m], S[:m]
+                counts[j:j + m] = k
+                values, sup = V[m - 1], S[m - 1]
+            else:
+                coeffs[j + 1], k, _, values, sup = stepper.step(
+                    coeffs[j], stamps[j], prepared=(block_spiky[i], terms[i]),
+                    values=values, sup=sup)
+                m, counts[j], sup_trace[j + 1] = 1, k, sup
+            j += m
+            if sup > cap:
+                blown_up, last, blowup_time = True, j, float(stamps[j])
+            while runs and k == -1 and not blown_up and j < n_steps:
+                rows = min(FORCING_BLOCK, n_steps - j)
+                Y, V, S = stepper.linear_run(coeffs[j], sup, rows, cap)
                 n = len(Y)
-                coeffs[k + 1:k + 1 + n], sup_trace[k + 1:k + 1 + n] = Y, S
-                counts[k:k + n] = -1
+                coeffs[j + 1:j + 1 + n], sup_trace[j + 1:j + 1 + n], counts[j:j + n] = Y, S, -1
                 if n:
                     values, sup = V[-1], S[-1]
-                k += n
+                j += n
                 if n < rows:
                     break
-            collections.deque(itertools.islice(steps, k - j - 1), maxlen=0)
+        if blown_up:
+            break
     sl = slice(0, last + 1)
     return Trajectory(x0.basis, stamps[sl], coeffs[sl], sup_trace[sl],
                       counts[:last], blown_up, blowup_time, spiky[:last])
@@ -722,7 +879,8 @@ def translation_extension(traj, ladder, half_window):
     """Windowed translates u_n(t) = x(t + t_n) on [-T_c, T_c], with defects.
 
     Snaps each ladder entry to the stamp grid, reports the sup-distance
-    matrix of the windowed translates, and returns the last translate as the
+    matrix of the windowed translates (each window synthesized once, the
+    distances taken between grid values), and returns the last translate as the
     two-sided candidate.  A shrinking defect sequence is evidence for (never
     a verification of) a two-sided extension.
     """
@@ -742,17 +900,15 @@ def translation_extension(traj, ladder, half_window):
         shifts.append(traj.stamps[center])
     shifts = np.asarray(shifts)
     n = len(windows)
+    values = [w @ traj.basis.eigenfunctions for w in windows]  # each window once
     pairwise = np.zeros((n, n))
-    E = traj.basis.eigenfunctions
     for i in range(n):
         for j in range(i + 1, n):
-            gap = float(np.max(np.abs((windows[i] - windows[j]) @ E)))
-            pairwise[i, j] = pairwise[j, i] = gap
+            pairwise[i, j] = pairwise[j, i] = float(np.max(np.abs(values[i] - values[j])))
     successive = np.array([pairwise[i, i + 1] for i in range(n - 1)])
     tau = dt * np.arange(-half_idx, half_idx + 1)
-    values = windows[-1] @ E
     candidate = Trajectory(traj.basis, tau, windows[-1],
-                           np.max(np.abs(values), axis=1))
+                           np.max(np.abs(values[-1]), axis=1))
     report = ExtensionReport(shifts=shifts, window=half_window,
                              pairwise=pairwise, successive=successive)
     return candidate, report

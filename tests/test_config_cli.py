@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import sys
@@ -212,19 +213,40 @@ def test_simulate_manifest_counts_spiky_steps(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("config, code", [("reference", 0), ("blowup", 2), ("decay", 0)])
 def test_simulate_manifest_picard_summary(tmp_path, capsys, monkeypatch, config, code):
-    """picard_max, picard_sweeps (applications of g: refinements plus one
-    frozen application per step, none for a linear step, counted -1) and
-    linear_steps agree with the counts saved in trajectory.npz.  The decay
-    scenario (g = 0) takes only linear steps."""
+    """picard_max and linear_steps agree with the counts saved in
+    trajectory.npz, and picard_sweeps is the number of steps' grid vectors
+    (N + 1 points each) g was applied to, recorded by wrapping the
+    scenario's nonlinearity.  Stepped one at a time (blowup), that is the
+    refinements plus one frozen application per step, none for a linear
+    step (counted -1); the decay scenario (g = 0) takes only linear steps,
+    and g is evaluated once, at zero, for their bound.  The reference
+    scenario is forced, so its steps are solved in blocks, whose sweeps
+    apply g to all their steps at once and whose frozen application is one
+    per block: fewer than the sweeps per step summed."""
     monkeypatch.setenv("AALAB_SOLVER__T", "0.3")
+    shapes = []
+    build = cfgmod.Scenario.nonlinearity
+
+    def recorded(self):
+        g = build(self)
+        return dataclasses.replace(g, fn=lambda r: shapes.append(np.shape(r)) or g.fn(r))
+
+    monkeypatch.setattr(cfgmod.Scenario, "nonlinearity", recorded)
     out_dir = tmp_path / config
     assert run_cli(["simulate", "--config", config, "--out", str(out_dir)], capsys)[0] == code
     with np.load(out_dir / "trajectory.npz") as z:
         counts = z["picard_counts"]
+        grid = int(z["basis"][2])
     assert counts.size > 0
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
     assert f"picard_max = {max(int(counts.max()), 0)}" in manifest
-    assert f"picard_sweeps = {int(counts.sum()) + counts.size}" in manifest
+    vectors = sum(int(np.prod(shape)) for shape in shapes) // (grid + 1)
+    assert f"picard_sweeps = {vectors}" in manifest
+    sweeps = int(np.sum(counts + 1))  # each step's own sweeps, 0 for a linear step
+    if config == "reference":
+        assert 0 < vectors < sweeps
+    else:
+        assert vectors == sweeps + (config == "decay")
     linear = int(np.count_nonzero(counts == -1))
     assert f"linear_steps = {linear}" in manifest
     assert (linear == counts.size) == (config == "decay")

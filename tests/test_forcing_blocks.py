@@ -9,16 +9,23 @@ The step-map oracle writes the nonlinear half of the step from the basis
 alone, with the closed-form weights of the exact semigroup.  The
 Picard-loop oracle writes the sweeps out with a contraction check, its
 factor from the dense weight operator, and the stopping test on every one,
-so the step's reused buffers, its check on a growing radius only, its
-acceptance of the frozen application and the sup it takes and hands back
-are each held to it.  At order one it first tries the linear step, with no
-g, and its a-priori acceptance test.
-Blocking, the shared base and the single synthesis per sweep change no
-arithmetic, so every check is exact equality, not a tolerance.  Only the
-comparison with the forcing formula the per-part contraction replaced has
-a bound, derived from the operation counts of both.
+so ``Stepper.step``, its check on a growing radius only, its acceptance of
+the frozen application and the sup it takes and hands back are each held
+to it.  At order one it first tries the linear step, with no g, and its
+a-priori acceptance test.
+Forcing blocks, the shared base, the single synthesis per sweep and the
+linear runs change no arithmetic, so those checks are exact equality, not
+a tolerance; so are unforced and order-two marches, stepped one at a time.
+A forced order-one march solves its steps in Picard blocks
+(``Stepper.block``), whose batched products round differently from a
+step's: it is held to the contract of tests/test_discrete_solution.py
+instead, within (picard_tol + TIGHT) S of the per-step oracle march at
+TIGHT, and each block's rows are held to the block's fixed point.  The
+comparison with the forcing formula the per-part contraction replaced has a
+bound, derived from the operation counts of both.
 """
 
+from dataclasses import replace
 import functools
 import math
 import tracemalloc
@@ -26,10 +33,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aalab import config as cfgmod
 from aalab import solver as sv
 from aalab import spectral as sp
 from aalab.quadrature import gauss_nodes, quadrature_nodes
 from aalab.signals import SpikeTrainSpec, sine_signal
+
+from test_discrete_solution import TIGHT, semigroup_sum
 
 
 def inside_breakpoints(forcing, t, t_next):
@@ -210,6 +220,29 @@ def assert_same_march(traj, oracle):
     assert np.array_equal(traj.spiky, spiky)
 
 
+def contract_bound(basis, cfg, steps):
+    """(picard_tol + TIGHT) S over ``steps`` steps: how far a march whose
+    steps each end within picard_tol of their fixed point may lie from the
+    discrete solution, given to rounding by a march at TIGHT
+    (tests/test_discrete_solution.py)."""
+    return (cfg.picard_tol + TIGHT) * semigroup_sum(basis.length, basis.modes, basis.grid,
+                                                    cfg.dt, steps)
+
+
+def assert_within_contract(traj, x0, cfg, nonlinearity, forcing, t0=0.0):
+    """An order-one march, whose steps are solved in blocks, against the
+    per-step march of the oracles at picard_tol = TIGHT: the same stamps,
+    blow-up stamp and spiky mask, and every state and sup within the
+    contract bound in the grid sup norm."""
+    tight = replace(cfg, picard_tol=TIGHT, picard_max_iter=sv.SolverConfig.picard_max_iter)
+    coeffs, sup, _, spiky = oracle_solve(x0, tight, nonlinearity, forcing, t0=t0)
+    assert len(traj.coeffs) == len(coeffs)
+    assert np.array_equal(traj.spiky, spiky)
+    bound = contract_bound(traj.basis, cfg, len(coeffs) - 1)
+    assert np.max(np.abs((traj.coeffs - coeffs) @ traj.basis.eigenfunctions)) <= bound
+    assert np.max(np.abs(traj.sup_trace - sup)) <= bound
+
+
 @pytest.fixture(scope="module")
 def forcings(ref_basis):
     h0 = sp.field_from_function(ref_basis, lambda x: np.sin(np.pi * x))
@@ -241,19 +274,27 @@ def test_march_bit_identical_to_per_step_forcing(ref_basis, forcings, center, mo
     subdivided = mode == "sine" or center in (27.0, 81.0)
     assert (traj.spiky_steps > 0) == subdivided
     assert traj.spiky_steps < len(traj.picard_counts)
-    assert_same_march(traj, oracle_solve(x0, cfg, cubic, forcings[mode], t0=t0))
+    if order2:
+        assert_same_march(traj, oracle_solve(x0, cfg, cubic, forcings[mode], t0=t0))
+    else:  # blocks
+        assert_within_contract(traj, x0, cfg, cubic, forcings[mode], t0=t0)
 
 
 def test_blowup_mid_block_bit_identical(ref_basis, forcings):
-    # the level-1 spike at 3 lifts the sup trace over the cap inside a block
+    """The level-1 spike at 3 lifts the sup trace over the cap inside a
+    forcing block and inside a Picard block: the march stops at the first
+    row above it, the stamp of the per-step march at its own tolerance and
+    at TIGHT, and is within the contract bound of the latter."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=1.0, blowup_cap=0.1)
     x0 = sv.reference_initial_field(ref_basis, "zero")
     cubic = sv.make_nonlinearity("cubic")
     traj = sv.solve(x0, cfg, cubic, forcings["profiled"], t0=2.3)
     assert traj.blown_up
     assert len(traj.picard_counts) % sv.FORCING_BLOCK != 0
+    assert len(traj.picard_counts) % sv.PICARD_BLOCK != 0
     assert traj.spiky_steps == 0  # the level-1 edges and centre fall on stamps
-    assert_same_march(traj, oracle_solve(x0, cfg, cubic, forcings["profiled"], t0=2.3))
+    assert len(oracle_solve(x0, cfg, cubic, forcings["profiled"], t0=2.3)[0]) == len(traj)
+    assert_within_contract(traj, x0, cfg, cubic, forcings["profiled"], t0=2.3)
 
 
 def test_unforced_march_bit_identical(ref_basis):
@@ -449,6 +490,200 @@ def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2
         assert (-1 in counts) != order2
 
 
+def block_fixed_point_values(stepper, coeffs, terms):
+    """Grid values of the fixed point of a block from ``coeffs``: the
+    implicit step equations y_{m+1} = T(dt) y_m + f_m + wy P g(E^T y_{m+1})
+    solved row after row, each step map applied until it stops moving the
+    grid values (or 30 times)."""
+    E, rows = stepper.E, []
+    y, values = coeffs, coeffs @ E
+    for term in terms:
+        base = stepper.base(y, term, None)
+        for _ in range(30):
+            y = stepper.step_map(base, stepper.nonlinear(values))
+            nxt = y @ E
+            if np.array_equal(nxt, values):
+                break
+            values = nxt
+        rows.append(values)
+    return np.array(rows)
+
+
+def record_blocks(monkeypatch):
+    """The (start t, rows taken) of every ``Stepper.block`` call from here on."""
+    calls = []
+    block = sv.Stepper.block
+
+    def recorded(self, coeffs, t, *args):
+        out = block(self, coeffs, t, *args)
+        calls.append((t, len(out[0])))
+        return out
+
+    monkeypatch.setattr(sv.Stepper, "block", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("forced, t0, start", [(True, 2.9, "mode1"), (True, 26.9, "mode3"),
+                                               (False, 0.0, "mode2")])
+def test_accepted_block_rows_are_within_picard_tol_of_the_fixed_point(ref_basis, forcings,
+                                                                     forced, t0, start):
+    """The contract of ``picard_tol`` for a block: every row of every
+    accepted block lies within the tolerance of the block's fixed point in
+    the grid sup norm.  Checked on the blocks of marches over the spike at
+    3, over the spiky step at 26.944 (mode 3 data, 0.8) and unforced from
+    0.4 * mode 2, one forcing block each (the unforced march takes linear
+    steps from there), each Picard block marched by ``Stepper.block`` on
+    the forcing terms of ``forcing_blocks``, with the fixed point solved out
+    row by row."""
+    cfg = sv.SolverConfig(dt=1e-3)
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
+                         forcings["profiled"] if forced else None, cfg)
+    c = sv.reference_initial_field(ref_basis, start, 0.8 if start == "mode3" else 0.4).coeffs
+    values = c @ stepper.E
+    sup = float(np.max(np.abs(values)))
+    stamps = t0 + cfg.dt * np.arange(sv.FORCING_BLOCK + 1)
+    [(spiky, terms)] = stepper.forcing_blocks(stamps[:-1], stamps[1:])
+    assert spiky.any() == (t0 > 20.0)
+    refinements = []
+    for i in range(0, sv.FORCING_BLOCK, sv.PICARD_BLOCK):
+        block_terms = terms[i:i + sv.PICARD_BLOCK]
+        Y, k, V, S = stepper.block(c, stamps[i], block_terms, values, sup)
+        assert len(Y) == sv.PICARD_BLOCK and k >= 1
+        fixed = block_fixed_point_values(stepper, c, block_terms)
+        assert float(np.max(np.abs(fixed - V))) <= cfg.picard_tol
+        assert np.array_equal(S, np.max(np.abs(V), axis=1))
+        c, values, sup = Y[-1], V[-1], S[-1]
+        refinements.append(k)
+    assert max(refinements) > 1
+
+
+@pytest.mark.parametrize("amplitude, linear", [(1e-9, True), (0.4, False)])
+def test_block_start_takes_an_accepted_linear_step_alone(ref_basis, forcings, amplitude,
+                                                         linear):
+    """``Stepper.block`` makes the linear-step decision of ``Stepper.step``
+    once: from 1e-9 * mode 1 under the reference forcing the linear step
+    passes both of its checks and is the block's one row (-1 refinements),
+    the floats of ``step``; from 0.4 it is not tried, and the block solves
+    all its rows."""
+    cfg = sv.SolverConfig(dt=1e-3)
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings["profiled"], cfg)
+    c = sv.reference_initial_field(ref_basis, "mode1", amplitude).coeffs
+    values = c @ stepper.E
+    sup = float(np.max(np.abs(values)))
+    stamps = 2.9 + cfg.dt * np.arange(sv.PICARD_BLOCK + 1)
+    [(_, terms)] = stepper.forcing_blocks(stamps[:-1], stamps[1:])
+    Y, k, V, S = stepper.block(c, stamps[0], terms, values, sup)
+    y, iterations, _, v, s = stepper.step(c, stamps[0], prepared=(False, terms[0]),
+                                          values=values, sup=sup)
+    assert (k == iterations == -1) == linear
+    if linear:
+        assert len(Y) == 1
+        assert np.array_equal(Y[0], y) and np.array_equal(V[0], v) and S[0] == s
+    else:
+        assert len(Y) == sv.PICARD_BLOCK and k >= 0
+
+
+@pytest.mark.parametrize("amplitude, rows", [(3.0, 16), (4.0, 8), (4.5, 8)])
+def test_block_halves_where_the_margin_fails(ref_basis, forcings, monkeypatch, amplitude,
+                                             rows):
+    """Cubic damping from amplitude r * mode 1, where q_b = 3 r^2 gain_b:
+    at r = 3 q_16 = 0.43 and the block keeps its 16 rows; at r = 4 and 4.5
+    q_16 = 0.77 and 0.97 fail the margin while q_8 = 0.39 and 0.49 meet it,
+    so the block halves once and takes 8 rows, each within ``picard_tol``
+    of the fixed point.  The forced march from there (the reference forcing
+    from t = 0) halves the same way, then takes full blocks as the state
+    decays, and stays within the contract bound of the per-step one."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.2)
+    cubic = sv.make_nonlinearity("cubic")
+    stepper = sv.Stepper(ref_basis, cubic, None, cfg)
+    x0 = sv.reference_initial_field(ref_basis, "mode1", amplitude)
+    values = x0.coeffs @ stepper.E
+    sup = float(np.max(np.abs(values)))
+    factors = {b: cubic.lipschitz(sup) * gain for b, gain in stepper.block_gains.items()}
+    assert (factors[16] >= 0.5) == (rows < 16) and factors[8] < 0.5
+    terms = np.zeros((sv.PICARD_BLOCK, ref_basis.modes))
+    Y, _, V, _ = stepper.block(x0.coeffs, 0.0, terms, values, sup)
+    assert len(Y) == rows
+    fixed = block_fixed_point_values(stepper, x0.coeffs, terms[:rows])
+    assert float(np.max(np.abs(fixed - V))) <= cfg.picard_tol
+    blocks = record_blocks(monkeypatch)
+    traj = sv.solve(x0, cfg, cubic, forcings["profiled"])
+    monkeypatch.undo()
+    assert blocks[0] == (0.0, rows) and sv.PICARD_BLOCK in {n for _, n in blocks[1:]}
+    assert_within_contract(traj, x0, cfg, cubic, forcings["profiled"])
+
+
+def test_block_halves_where_the_picard_budget_runs_out(monkeypatch):
+    """The reference scenario at T = 1 with a budget of 2 refinements: the
+    per-step march needs at most 2, but some blocks of 16 need 3 or 4, so
+    they halve; the march stays within the contract bound."""
+    scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("reference"))
+    basis = scenario.basis()
+    cfg = replace(scenario.solver_config(), horizon=1.0, picard_max_iter=2)
+    args = (scenario.initial_field(basis), cfg, scenario.nonlinearity(),
+            scenario.forcing(basis))
+    blocks = record_blocks(monkeypatch)
+    traj = sv.solve(*args)
+    monkeypatch.undo()
+    assert max(traj.picard_counts) == 2
+    assert any(rows < sv.PICARD_BLOCK for _, rows in blocks)
+    assert_within_contract(traj, *args)
+
+
+@pytest.mark.parametrize("amplitude, budget, error", [(4.0, 25, sv.NonContractionError),
+                                                      (4.0, 6, sv.PicardError),
+                                                      (8.0, 25, sv.NonContractionError)])
+def test_block_march_raises_where_the_per_step_march_raises(ref_basis, forcings, monkeypatch,
+                                                          amplitude, budget, error):
+    """The growth cubic from amplitude r * mode 1 under the reference
+    forcing from t = 0, cap out of reach: the march halves its blocks as
+    the state grows, down to single steps, and raises where the per-step
+    march raises, at the same t.  From r = 4 the margin fails at t = 0.063;
+    with a budget of 6 refinements the Picard iteration gives out first,
+    at t = 0.023 (the same message); from 8 the margin fails at t = 0.004.
+    Radius and factor agree to the contract bound's order (the states
+    differ by at most that)."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=1.0, blowup_cap=1e9, picard_max_iter=budget)
+    g = sv.make_nonlinearity("cubic-unstable")
+    x0 = sv.reference_initial_field(ref_basis, "mode1", amplitude)
+    with pytest.raises(error) as expected:
+        oracle_solve(x0, cfg, g, forcings["profiled"])
+    blocks = record_blocks(monkeypatch)
+    with pytest.raises(error) as got:
+        sv.solve(x0, cfg, g, forcings["profiled"])
+    monkeypatch.undo()
+    assert 1 in {rows for _, rows in blocks}
+    if error is sv.PicardError:
+        assert str(got.value) == str(expected.value)
+        return
+    assert got.value.t == expected.value.t
+    assert got.value.radius == pytest.approx(expected.value.radius, rel=1e-7)
+    assert got.value.factor == pytest.approx(expected.value.factor, rel=1e-7)
+
+
+def test_forced_blowup_stops_at_the_per_step_stamp(monkeypatch):
+    """The bundled ``blowup`` scenario (growth cubic from 5 * mode 1, 16
+    modes, dt = 1e-4, cap 10) under the reference forcing, as CI runs it:
+    its blocks halve to 8 as the margin tightens, and the sup crosses the
+    cap at stamp 243, inside a block.  The march stops there, as the
+    per-step march does, within the contract bound of it."""
+    env = {"AALAB_FORCING__TEMPORAL": "reference", "AALAB_FORCING__PROFILE": "mode1"}
+    scenario = cfgmod.load_scenario(cfgmod.builtin_config_path("blowup"), environ=env)
+    basis = scenario.basis()
+    cfg = scenario.solver_config()
+    args = (scenario.initial_field(basis), cfg, scenario.nonlinearity(),
+            scenario.forcing(basis))
+    blocks = record_blocks(monkeypatch)
+    traj = sv.solve(*args)
+    monkeypatch.undo()
+    assert traj.blown_up and len(traj) == 244
+    assert {rows for _, rows in blocks} == {sv.PICARD_BLOCK, sv.PICARD_BLOCK // 2}
+    t_last, rows = blocks[-1]
+    assert traj.stamps[-1] < t_last + rows * cfg.dt - 0.5 * cfg.dt  # rows past the cap were cut
+    assert len(oracle_solve(*args)[0]) == 244
+    assert_within_contract(traj, *args)
+
+
 @pytest.mark.parametrize("order2", [False, True])
 @pytest.mark.parametrize("dt", [1e-3, 4e-4])
 def test_gain_matches_dense_row_sums(ref_basis, order2, dt):
@@ -463,6 +698,32 @@ def test_gain_matches_dense_row_sums(ref_basis, order2, dt):
     expected = {(False, 1e-3): 1.04, (False, 4e-4): 1.13,
                 (True, 1e-3): 0.54, (True, 4e-4): 0.62}[order2, dt]
     assert gain / dt == pytest.approx(expected, abs=0.01)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4e-4])
+def test_block_gains_match_dense_row_sums(ref_basis, dt):
+    """``Stepper.block_gains`` against the largest row sum of sum_{m < b}
+    |E^T diag(exp(-lam m dt) wy) P|, built densely from the basis and the
+    oracle weights (dealiased), on every rung of the halving ladder; rung 1
+    is ``gain`` itself.  A block of b steps reads about b dt: 16.01 dt and
+    8.04 dt at dt = 1e-3, 16.13 dt and 8.13 dt at 4e-4, where one step's
+    reads 1.04 dt and 1.13 dt."""
+    stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), None, sv.SolverConfig(dt=dt))
+    wy = oracle_weights(ref_basis, dt)[0]
+    wy[max(1, (2 * ref_basis.modes) // 3):] = 0.0
+    E, P, lam = ref_basis.eigenfunctions, ref_basis._projection, ref_basis.eigenvalues
+    rungs = [sv.PICARD_BLOCK >> i for i in range(sv.PICARD_BLOCK.bit_length())]
+    assert set(stepper.block_gains) == set(rungs) and rungs[-1] == 1
+    total, expected = 0.0, {}
+    for m in range(sv.PICARD_BLOCK):
+        total = total + np.abs(E.T @ np.diag(np.exp(-lam * m * dt) * wy) @ P)
+        if m + 1 in rungs:
+            expected[m + 1] = float(np.max(total.sum(axis=1)))
+    assert stepper.block_gains[1] == stepper.gain == oracle_gain(ref_basis, False, dt)
+    for b in rungs:
+        assert stepper.block_gains[b] == pytest.approx(expected[b], rel=1e-12)
+    expected_16 = {1e-3: 16.01, 4e-4: 16.13}[dt]
+    assert stepper.block_gains[16] / dt == pytest.approx(expected_16, abs=0.01)
 
 
 @pytest.mark.parametrize("order2", [False, True])

@@ -227,16 +227,41 @@ def _counting_cubic(shapes):
 
 
 @pytest.mark.parametrize("order2", [False, True])
-def test_solve_evaluates_g_once_per_sweep_on_grid_vectors(basis, reference_forcing, order2):
-    """g sees only (N + 1)-vectors, once per Picard sweep: at order 2 the
-    frozen application reuses g(x(t)) that the step's base holds."""
-    shapes = []
+def test_solve_evaluates_g_once_per_sweep_on_grid_vectors(basis, reference_forcing, order2,
+                                                          monkeypatch):
+    """g is evaluated once per Picard sweep, on grid values only.  At order
+    2 every step is a block of one: g sees (N + 1)-vectors, count + 1 of them
+    per step, the frozen application reusing g(x(t)) that the base holds.
+    At order 1 this forced march takes blocks (``Stepper.block``): g sees x(t)
+    once per block and each refinement's (b, N + 1) iterates, so N + 1 points
+    per block plus b (N + 1) per refinement (no block halves here), and the
+    blocks, with their refinements written for each of their steps, tile
+    ``picard_counts``."""
+    shapes, blocks = [], []
+    block = sv.Stepper.block
+
+    def recorded(self, coeffs, t, *args):
+        out = block(self, coeffs, t, *args)
+        blocks.append((len(out[0]), out[1]))
+        return out
+
+    monkeypatch.setattr(sv.Stepper, "block", recorded)
     traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
                     sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2),
                     _counting_cubic(shapes), reference_forcing)
-    sweeps = int(np.sum(traj.picard_counts)) + len(traj.picard_counts)  # frozen ones count
-    assert set(shapes) == {(basis.grid + 1,)}
-    assert len(shapes) == sweeps
+    counts = traj.picard_counts
+    if order2:
+        assert blocks == []
+        assert set(shapes) == {(basis.grid + 1,)}
+        assert len(shapes) == int(np.sum(counts)) + len(counts)  # frozen ones count
+        return
+    # 300 steps: blocks of 16, and 12 at the end of the third forcing block
+    assert set(shapes) == {(basis.grid + 1,)} | {(b, basis.grid + 1) for b, k in blocks if k}
+    assert {b for b, _ in blocks} == {sv.PICARD_BLOCK, 12}
+    assert sum(b for b, _ in blocks) == len(counts) and min(counts) >= 1
+    assert np.array_equal(np.repeat([k for _, k in blocks], [b for b, _ in blocks]), counts)
+    points = sum(int(np.prod(shape)) for shape in shapes)
+    assert points == (basis.grid + 1) * sum(1 + b * k for b, k in blocks)
 
 
 # ---------------------------------------------------------------------------
