@@ -1,7 +1,8 @@
 """Command-line experiment driver: ``simulate``, ``signal``, ``diagnose``.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 blow-up detected,
-3 a diagnostic printed a FAIL verdict.
+Exit codes: 0 success, 1 configuration or usage error (a solve that needs
+a smaller ``dt`` among them), 2 blow-up detected, 3 a diagnostic printed a
+FAIL verdict.
 All quantitative output is CSV with 15-significant-digit floats; each run
 directory gets exactly one manifest echoing the effective configuration, so
 every verdict can be recomputed from the emitted files alone.
@@ -22,7 +23,8 @@ from .config import ConfigError, builtin_config_path, load_scenario
 from .signals import (StepanovConfig, aa_translation_test, resolve_signal,
                       power_shift_ladder, sqrt2_shift_ladder, stepanov_norm,
                       uniform_continuity_modulus)
-from .solver import load_trajectory, save_trajectory, solve
+from .solver import (NonContractionError, PicardError, load_trajectory, save_trajectory,
+                     solve)
 from .util import fmt15
 
 
@@ -288,7 +290,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, ValueError, NonContractionError, PicardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,27 +17,28 @@ grid-sup norm of the step's weight operator, each sweep contracts by
 q = L_R gain < 1/2.  A step ends at the first application whose move d
 of the grid values meets q / (1 - q) d <= picard_tol at order one, or d <=
 picard_tol at order two; at order one a state whose nonlinear term, at most
-gain (|g(0)| + L_R s), is within it takes the linear step (no g) first.
-On an unforced order-one march the steps after a linear step are taken as
-runs of up to FORCING_BLOCK, T(dt)^j x as one running product held row by
-row to the same test (``Stepper.linear_run``), with the floats of the steps.
+gain (|g(0)| + L_R s), is within it takes the linear step (no g) instead.
 
-On a forced order-one march ``solve`` takes the steps PICARD_BLOCK at a
-time, as one Picard iteration over the block (waveform relaxation:
-Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE TCAD 1982; Miekkala and
-Nevanlinna, SIAM J. Sci. Stat. Comput. 1987).  The block's linear part Z,
-T(dt)^m x plus the causal sum of its forcing terms, is formed once; each
-sweep synthesizes the b iterates with one product, applies g once to their
-(b, N + 1) grid values, projects with one product and sets Y = Z + L(wy P g),
-with L the per-mode causal Toeplitz operator of decay^(m - i).  Its factor is q_b = L_R gain_b,
-gain_b the grid-sup norm of the block's nonlinear half over its rows
-(``Stepper.block_gains``), and it stops once q_b / (1 - q_b) d <= picard_tol,
-d the move of all its grid values: then every row lies within picard_tol of
-the block's fixed point, the solution of the implicit step equations over
-the block.  A block whose margin or Picard budget fails halves, down to a
-single step, which is ``Stepper.step``'s sweeps; a start whose linear step
-passes both of its checks takes that step alone.  Unforced marches and
-order two step one at a time.
+``solve`` marches by one entry, ``Stepper.step``, which it hands the forcing
+terms of the rest of the current forcing block; a call takes as many of
+those rows as its start allows.  A start that passes the linear-step test
+takes linear steps: with no forcing every row that passes the test, T(dt)^j
+x as one running product with the floats of the steps, and with forcing one
+row.  Otherwise a forced order-one march solves PICARD_BLOCK rows together,
+as one Picard iteration over the block (waveform relaxation: Lelarasmee,
+Ruehli and Sangiovanni-Vincentelli, IEEE TCAD 1982; Miekkala and Nevanlinna,
+SIAM J. Sci. Stat. Comput. 1987).  The block's linear part Z, T(dt)^m x plus
+the causal sum of its forcing terms, is formed once; each sweep synthesizes
+the b iterates with one product, applies g once to their (b, N + 1) grid
+values, projects with one product and sets Y = Z + L(wy P g), with L the
+per-mode causal Toeplitz operator of decay^(m - i).  Its factor is q_b =
+L_R gain_b, gain_b the grid-sup norm of the block's nonlinear half over its
+rows (``Stepper.block_gains``), and it stops once q_b / (1 - q_b) d <=
+picard_tol, d the move of all its grid values: then every row lies within
+picard_tol of the block's fixed point, the solution of the implicit step
+equations over the block.  A block whose margin or Picard budget fails
+halves.  Unforced marches, order two and a block halved to one row sweep a
+single step from its ``base``.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -72,15 +73,15 @@ from .spectral import Field, SpectralBasis, field_from_function, save_field_csv
 from .util import open_new
 
 
-#: Steps whose forcing terms are computed together, and the longest run of
-#: linear steps.  It bounds the node and contraction buffers (0.5 MB each at
-#: 64 modes and 8 nodes) and a run's grid values (0.26 MB at 257 points)
-#: whatever the horizon, and is large enough that per-call overhead is
-#: negligible.
+#: Steps whose forcing terms are computed together, and so the most rows one
+#: ``Stepper.step`` call takes.  It bounds the node and contraction buffers
+#: (0.5 MB each at 64 modes and 8 nodes) and a call's grid values (0.26 MB
+#: at 257 points) whatever the horizon, and is large enough that per-call
+#: overhead is negligible.
 FORCING_BLOCK = 128
-#: Order-one steps solved together by one Picard iteration (``Stepper.block``),
-#: a power of two dividing FORCING_BLOCK, so blocks tile a forcing block and
-#: halve down to 1.  On the T = 6 reference march 16 took 0.072-0.074 s in
+#: Forced order-one steps solved together by one Picard iteration, a power
+#: of two dividing FORCING_BLOCK, so blocks tile a forcing block and halve
+#: down to 1.  On the T = 6 reference march 16 took 0.072-0.074 s in
 #: process and 32 took 0.082-0.086 s: 32 makes more sweeps per block (its
 #: factor is twice as large) and four times the work in the causal product.
 PICARD_BLOCK = 16
@@ -261,16 +262,18 @@ class SolverConfig:
     order2: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("Picard tolerance must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise ValueError(f"dt and horizon must be positive and finite, got dt = "
+                             f"{self.dt!r}, horizon = {self.horizon!r}")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValueError(f"Picard tolerance must be positive and finite, got "
+                             f"{self.picard_tol!r}")
         if self.picard_max_iter < 1:
             raise ValueError("Picard budget must allow at least one refinement")
         if self.forcing_nodes < 1:
             raise ValueError("forcing quadrature needs at least one node")
-        if self.blowup_cap <= 0:
-            raise ValueError("blow-up cap must be positive")
+        if not self.blowup_cap > 0:
+            raise ValueError(f"blow-up cap must be positive, got {self.blowup_cap!r}")
 
 
 @dataclass
@@ -379,7 +382,7 @@ def _node_sum(h, Dw):
 
 
 class Stepper:
-    """Single-step and block engine for steps of the configured ``dt``, with
+    """The step engine for steps of the configured ``dt``, with
     ``decay`` = exp(-lam dt), the weights ``wx`` and ``wy`` of ``base`` and
     ``step_map`` (dealiased) and ``gain`` = ||E^T diag(wy) P||_inf computed
     once; ``block_gains`` and the block operators are computed on a block's
@@ -522,109 +525,84 @@ class Stepper:
         """
         return base + self.wy * gy
 
-    def step(self, coeffs, t, collect_distances=False, prepared=None, values=None, sup=None):
-        """One Picard-refined step from (t, coeffs) to t + dt, a block of one
-        for ``_sweeps``.
+    def step(self, coeffs, t, terms=None, values=None, sup=None, distances=None):
+        """The march's one entry: steps from (t, coeffs), one per row of the
+        forcing ``terms`` taken, the rest of the step's forcing block from
+        ``forcing_blocks`` (default: the step at t alone).  ``values`` are
+        the grid values of ``coeffs`` and ``sup`` their sup, if the caller
+        holds them.
 
-        ``prepared`` is the pair ``forcing_steps`` yields for this step;
-        without it the step is integrated as a block of one.  ``values`` are
-        the grid values of ``coeffs`` and ``sup`` their sup norm, if the
-        caller holds them.  At order one every application, the frozen one
-        from x(t) included, stops the iteration once q / (1 - q) d <=
-        ``picard_tol``, with d its move of the grid values and q = L_R
-        ``gain`` < 1/2 at the running radius r: then the iterate is within
-        the tolerance of the fixed point.  With ``order2``, once d <= it.  At
-        order one, if (q r + gain |g(0)|) / (1 - q) <= ``picard_tol``, the
-        linear step ``base`` (subnormals flushed to 0) is tried first and kept
-        if the same bound holds at its sup.  Returns (new_coeffs, iterations,
-        distances, new_values, new_sup): refinements after the frozen one (0
-        if that one was accepted, -1 for a linear step), their
-        successive-iterate sup distances (empty unless requested), and the
-        last sweep's synthesis and its sup norm.  q is recomputed, checking
-        the margin, only when a sup raises the radius.
-        """
-        _, term = prepared if prepared is not None else next(self.forcing_steps([t]))
-        vy = coeffs @ self.E if values is None else values
-        radius = float(np.abs(vy).max()) if sup is None else float(sup)
-        q = self._check_contraction(t, radius)
-        linear = self._linear_step(coeffs, t, term, q, radius)
-        if linear is not None:
-            y, v0, s0 = linear
-            return y, -1, [], v0, s0
-        # the frozen application uses g(x(t)), which order 2 also puts in the base
-        gx = self.nonlinear(vy)
-        distances = []
-        y, iterations, v, s = self._sweeps(t, self.base(coeffs, term, gx), gx, vy, radius, q,
-                                           self.gain, distances if collect_distances else None)
-        return y, iterations, distances, v, float(s)
-
-    def block(self, coeffs, t, terms, values, sup):
-        """Order-one steps from (t, coeffs), with grid values ``values`` of
-        sup ``sup``, one per row of the forcing ``terms``.  Like ``step`` it
-        checks the single-step margin and takes the linear step where that
-        passes (one row, -1 refinements).  Otherwise the steps are solved
+        q = L_R ``gain`` is checked at the incoming radius.  At order one a
+        start that passes ``_tries_linear`` takes the rows of
+        ``_linear_rows`` (no g, -1 refinements) if there are any.  Otherwise
+        a forced order-one march solves min(len(terms), PICARD_BLOCK) rows
         together by ``_sweeps``, g frozen at x(t) for the first sweep, with
-        the block gain of the smallest rung of ``block_gains`` at or above
-        their number b.  A block whose margin fails, or whose Picard budget
-        runs out, halves; at b = 1 its sweeps are ``step``'s, floats,
-        NonContractionError and PicardError alike.  Returns (coeffs,
-        refinements, grid values, sups) of the rows taken, the block's
-        refinements standing for each of its steps.  ``solve`` calls it on
-        every step of a forced order-one march."""
-        q = self._check_contraction(t, sup)  # every rung's gain is at least gain
-        linear = self._linear_step(coeffs, t, terms[0], q, sup)
-        if linear is not None:
-            y, v, s = linear
-            return y[None], -1, v[None], np.array([s])
+        the gain of the smallest rung of ``block_gains`` at or above their
+        number, halving where the margin or the Picard budget fails; an
+        unforced march, order two and a block halved to one row sweep one
+        step from ``base``, appending each refinement's move of the grid
+        values to ``distances`` if given, and raise its NonContractionError
+        and PicardError.  Returns (coeffs, refinements, grid values, sups)
+        of the rows taken, (m, K), an int for every row, (m, N + 1) and (m,).
+        """
+        if terms is None:
+            _, terms = next(self.forcing_blocks([t]))
+        values = coeffs @ self.E if values is None else values
+        radius = float(np.abs(values).max()) if sup is None else float(sup)
+        q = self._check_contraction(t, radius)
+        if self._tries_linear(q, radius):
+            Y, V, S = self._linear_rows(coeffs, t, terms, radius)
+            if len(Y):
+                return Y, -1, V, S
+        # the frozen application uses g(x(t)), which order 2 also puts in the base
         gx = self.nonlinear(values)
-        b = len(terms)
-        while True:
+        b = min(len(terms), 1 if self.config.order2 or self.forcing.is_zero else PICARD_BLOCK)
+        while b > 1:
             gain = self.block_gains[1 << (b - 1).bit_length()]
             try:
-                q = self._check_contraction(t, sup, gain)
                 Z = self._powers[1:b + 1] * coeffs + self._causal(terms[:b])
-                Y, iterations, V, S = self._sweeps(t, Z if b > 1 else Z[0], gx, values, sup,
-                                                   q, gain)
-                return np.atleast_2d(Y), iterations, np.atleast_2d(V), np.atleast_1d(S)
+                return self._sweeps(t, Z, gx, values, radius,
+                                    self._check_contraction(t, radius, gain), gain)
             except (NonContractionError, PicardError):
-                if b == 1:
-                    raise
                 b //= 2
+        return self._sweeps(t, self.base(coeffs, terms[0], gx), gx, values, radius, q,
+                            self.gain, distances)
 
     def _causal(self, U):
-        """L U over a block of b = len(U) steps: row m is sum_{i <= m}
-        decay^(m - i) U_i per mode, one (b, b, K) contraction; at b = 1, U."""
+        """L U over a block of b = len(U) > 1 steps: row m is sum_{i <= m}
+        decay^(m - i) U_i per mode, one (b, b, K) contraction."""
         b = len(U)
-        return U if b == 1 else np.einsum("mik,ik->mk", self._toeplitz[:b, :b], U)
+        return np.einsum("mik,ik->mk", self._toeplitz[:b, :b], U)
 
     def _sweeps(self, t, Z, G, values, radius, q, gain, distances=None):
-        """The Picard iteration of a block of b steps, the one kernel of
-        ``step`` and ``block``.
+        """The Picard iteration of a block of b steps, ``step``'s one kernel.
 
-        ``Z`` (b, K), or (K,) for a single step, holds each step's part fixed
-        by the start: T(dt)^m x plus the causal sum of the forcing terms (a
-        single step's ``base``).  Each sweep sets
-        Y = Z + L(wy G), synthesizes the b iterates with one product, and
-        projects g of them with one, G (K,) for the frozen first sweep from
-        ``values``, the incoming grid values.  q = L_R ``gain`` is the factor
-        at the running ``radius``, rechecked when a sweep's sup raises it;
-        the iteration stops once q / (1 - q) d <= ``picard_tol`` (d <= it
-        with ``order2``), d the sweep's move of the grid values over the
-        block.  A single step synthesizes and projects with vector products,
-        the floats of ``step_map`` and ``nonlinear``.  Returns (Y, refinements,
-        grid values, their row sups); raises NonContractionError and
+        ``Z`` (b, K), or (K,) for a single step, holds each step's part
+        fixed by the start: T(dt)^m x plus the causal sum of the forcing
+        terms (a single step's ``base``).
+        Each sweep sets Y = Z + L(wy G), synthesizes the b iterates with one
+        product, and projects g of them with one, G (K,) for the frozen
+        first sweep from ``values``, the incoming grid values.  q = L_R
+        ``gain`` is the factor at the running ``radius``, rechecked when a
+        sweep's sup raises it; the iteration stops once q / (1 - q) d <=
+        ``picard_tol`` (d <= it with ``order2``), d the sweep's move of the
+        grid values over the block.  A single step synthesizes and projects
+        with vector products, the floats of ``step_map`` and ``nonlinear``.
+        Returns (Y, refinements, grid values, their row sups) as rows, (b, K),
+        an int, (b, N + 1) and (b,); raises NonContractionError and
         PicardError with the start's t.
         """
         cfg = self.config
         tol, order2, E, P, g = cfg.picard_tol, cfg.order2, self.E, self.P, self.g.fn
         top = np.maximum.reduce  # a ufunc method: .max() costs a Python-level wrapper a call
+        single = Z.ndim == 1
         for application in range(cfg.picard_max_iter + 1):
             wG = self.wy * G
-            Y = Z + (wG if Z.ndim == 1 else self._causal(np.broadcast_to(wG, Z.shape)))
+            Y = Z + (wG if single else self._causal(np.broadcast_to(wG, Z.shape)))
             V = Y @ E
             d = float(top(np.abs(V - values), axis=None))
-            S = top(np.abs(V), axis=-1)
-            s = float(S if S.ndim == 0 else top(S))
+            S = top(np.abs(V), axis=-1, keepdims=single)
+            s = float(S[0] if single else top(S))
             if s > radius:
                 radius = s
                 q = self._check_contraction(t, radius, gain)
@@ -632,28 +610,12 @@ class Stepper:
             if distances is not None and application > 0:
                 distances.append(d)
             if (d if order2 else q / (1.0 - q) * d) <= tol:
-                return Y, application, V, S
+                return (Y[None], application, V[None], S) if single else (Y, application, V, S)
             G = (P @ g(V).T).T
         raise PicardError(
             f"no convergence in {cfg.picard_max_iter} refinements at t = {t:g} "
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
         )
-
-    def _linear_step(self, coeffs, t, term, q, radius):
-        """The linear step from (t, coeffs), no g: its (coeffs, grid values,
-        sup) if the state, of grid sup r = ``radius`` and factor q, passes
-        ``_tries_linear`` and the step passes the same bound at its own sup
-        (|E^T wy P g(v0)| <= gain (|g(0)| + L_R s0)); None otherwise."""
-        if not self._tries_linear(q, radius):
-            return None
-        y = self.base(coeffs, term, None)
-        y[np.abs(y) < _TINY] = 0.0  # decay would round them back to themselves
-        v0 = y @ self.E
-        s0 = float(np.abs(v0).max())
-        q0 = q if s0 <= radius else self._check_contraction(t, s0)
-        if self._linear_bound(q0, s0, self._flush_err) <= self.config.picard_tol:
-            return y, v0, s0
-        return None
 
     def _tries_linear(self, q, radius):
         """Whether an order-one state of grid sup r = ``radius`` tries the
@@ -673,28 +635,35 @@ class Stepper:
         map's fixed point.  Elementwise on arrays of q and r."""
         return (q * radius + self.gain * self._g0 + flush_err) / (1.0 - q)
 
-    def linear_run(self, coeffs, sup, rows, cap):
-        """Up to ``rows`` linear steps of an unforced order-one march after a
-        linear step to ``coeffs`` (grid sup ``sup``), as one running product
-        T(dt)^j coeffs, flushed once and synthesized row by row: each row is
-        the floats ``step`` gives, since a coefficient below _TINY stays below
-        it under decay < 1.  Returns the coefficients, grid values and sups of
-        the longest prefix that passes ``step``'s linear-step test with sups
-        at most ``cap``; ``solve`` leaves the first row that fails to
-        ``block``."""
-        Y = np.empty((rows + 1, self.basis.modes))
-        Y[0], Y[1:] = coeffs, self.decay
-        Y = np.cumprod(Y, axis=0, out=Y)[1:]
-        Y[np.abs(Y) < _TINY] = 0.0
+    def _linear_rows(self, coeffs, t, terms, radius):
+        """Linear steps, no g, from (t, coeffs) of grid sup ``radius``, a
+        start that passes ``_tries_linear``.  With forcing one row, T(dt)
+        coeffs + ``terms[0]``; with none one per row of ``terms``, T(dt)^j
+        coeffs as one running product flushed once (a coefficient below
+        _TINY stays below it under decay < 1) and synthesized row by row: the
+        floats of a step at a time.  Each row is held to the test at its
+        incoming radius R and at its own sup, q recomputed where that sup
+        raises R, both factors below 1/2.  Returns (coeffs, grid values,
+        sups) of the longest passing prefix, empty if the first row fails;
+        raises NonContractionError if the first row's sup takes q to 1/2."""
+        if self.forcing.is_zero:
+            Y = np.empty((len(terms) + 1, self.basis.modes))
+            Y[0], Y[1:] = coeffs, self.decay
+            Y = np.cumprod(Y, axis=0, out=Y)[1:]
+        else:
+            Y = self.base(coeffs, terms[0], None)[None]
+        Y[np.abs(Y) < _TINY] = 0.0  # decay would round them back to themselves
         V = np.matmul(Y[:, None, :], self.E)[:, 0]  # rows of y @ E; a batched Y @ E differs
         S = np.abs(V).max(axis=1)
-        R = np.concatenate(([sup], S[:-1]))  # each row's incoming radius
+        if S[0] > radius:
+            self._check_contraction(t, float(S[0]))
+        R = np.concatenate(([radius], S[:-1]))  # each row's incoming radius
         q = self.g.lipschitz(R) * self.gain
         q0 = np.where(S > R, self.g.lipschitz(S) * self.gain, q)  # q again at a raised radius
         tol = self.config.picard_tol
         ok = ((q < 0.5) & (q0 < 0.5) & (self._linear_bound(q, R) <= tol)
-              & (self._linear_bound(q0, S, self._flush_err) <= tol) & (S <= cap))
-        n = rows if ok.all() else int(np.argmin(ok))
+              & (self._linear_bound(q0, S, self._flush_err) <= tol))
+        n = len(ok) if ok.all() else int(np.argmin(ok))
         return Y[:n], V[:n], S[:n]
 
     def step_frozen(self, coeffs, t):
@@ -735,8 +704,9 @@ def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
     ``dt`` overrides the step length of ``config``."""
     config = SolverConfig(dt=dt) if config is None else replace(config, dt=dt)
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    coeffs, iterations, distances, _, _ = stepper.step(x.coeffs, t, collect_distances)
-    out = Field(x.basis, coeffs=coeffs)
+    distances = [] if collect_distances else None
+    Y, iterations, _, _ = stepper.step(x.coeffs, t, distances=distances)
+    out = Field(x.basis, coeffs=Y[0])
     if collect_distances:
         return out, iterations, distances
     return out, iterations
@@ -750,13 +720,9 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     the blow-up flag set if the sup-norm trace exceeds the configured cap;
     that detector is a proxy for the maximal-solution alternative, not a
     statement about the continuum equation.  The forcing terms are read a
-    forcing block at a time.  A forced order-one march takes its steps in
-    blocks of up to PICARD_BLOCK inside a forcing block (``Stepper.block``),
-    the first row above the cap ending the march.  Unforced marches and
-    order two step one at a time (``Stepper.step``); with no forcing, at
-    order one, the steps after a linear step are taken as runs
-    (``Stepper.linear_run``) up to the first that fails, which is stepped
-    alone: the same floats.
+    forcing block at a time, and each ``Stepper.step`` call is handed the
+    rest of the block; the first row it returns above the cap ends the
+    march, and the rows after it are dropped.
     """
     n_steps = int(round(config.horizon / config.dt))
     if n_steps < 1:
@@ -774,42 +740,20 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     blown_up = False
     blowup_time = None
     last = n_steps
-    runs = stepper.forcing.is_zero and not config.order2
-    in_blocks = not (stepper.forcing.is_zero or config.order2)
     cap = config.blowup_cap
     j = 0  # the steps taken
     blocks = stepper.forcing_blocks(stamps[:-1], stamps[1:])
     for b0, (block_spiky, terms) in zip(range(0, n_steps, FORCING_BLOCK), blocks):
         spiky[b0:b0 + len(terms)] = block_spiky
         while j < b0 + len(terms) and not blown_up:
-            i = j - b0
-            if in_blocks:
-                Y, k, V, S = stepper.block(coeffs[j], stamps[j], terms[i:i + PICARD_BLOCK],
-                                           values, sup)
-                m = len(Y)
-                if np.maximum.reduce(S) > cap:  # the march ends at the first row above the cap
-                    m = int(np.argmax(S > cap)) + 1
-                coeffs[j + 1:j + 1 + m], sup_trace[j + 1:j + 1 + m] = Y[:m], S[:m]
-                counts[j:j + m] = k
-                values, sup = V[m - 1], S[m - 1]
-            else:
-                coeffs[j + 1], k, _, values, sup = stepper.step(
-                    coeffs[j], stamps[j], prepared=(block_spiky[i], terms[i]),
-                    values=values, sup=sup)
-                m, counts[j], sup_trace[j + 1] = 1, k, sup
+            Y, k, V, S = stepper.step(coeffs[j], stamps[j], terms[j - b0:], values, sup)
+            m = len(S)
+            coeffs[j + 1:j + 1 + m], sup_trace[j + 1:j + 1 + m], counts[j:j + m] = Y, S, k
+            if max(S.tolist()) > cap:  # the march ends at the first row above the cap
+                blown_up, last = True, j + 1 + int(np.argmax(S > cap))
+                blowup_time = float(stamps[last])
+            values, sup = V[-1], S[-1]
             j += m
-            if sup > cap:
-                blown_up, last, blowup_time = True, j, float(stamps[j])
-            while runs and k == -1 and not blown_up and j < n_steps:
-                rows = min(FORCING_BLOCK, n_steps - j)
-                Y, V, S = stepper.linear_run(coeffs[j], sup, rows, cap)
-                n = len(Y)
-                coeffs[j + 1:j + 1 + n], sup_trace[j + 1:j + 1 + n], counts[j:j + n] = Y, S, -1
-                if n:
-                    values, sup = V[-1], S[-1]
-                j += n
-                if n < rows:
-                    break
         if blown_up:
             break
     sl = slice(0, last + 1)

@@ -73,7 +73,8 @@ def test_criterion_03_contraction_fidelity(ref_parts):
     worst_ratio_margin = 0.0
     for j in range(0, len(traj) - 1, 13):
         coeffs, t = traj.coeffs[j], traj.stamps[j]
-        out, _, dists, _, _ = stepper.step(coeffs, t, collect_distances=True)
+        dists = []
+        [out], _, _, _ = stepper.step(coeffs, t, distances=dists)
         radius = max(np.max(np.abs(coeffs @ basis.eigenfunctions)),
                      np.max(np.abs(out @ basis.eigenfunctions)))
         factor = g.lipschitz(radius) * cfg.dt

@@ -303,6 +303,39 @@ def test_simulate_rejects_empty_solver_budget(tmp_path, capsys, monkeypatch, key
     assert "error" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("T", "inf", "positive and finite"), ("DT", "nan", "positive and finite"),
+    ("DT", "inf", "positive and finite"), ("PICARD_TOL", "nan", "positive and finite"),
+    ("PICARD_TOL", "inf", "positive and finite"), ("CAP", "nan", "blow-up cap")])
+def test_simulate_rejects_nonfinite_solver_settings(tmp_path, capsys, monkeypatch, key, value,
+                                                    message):
+    """A non-finite step, horizon or tolerance, or a NaN cap, is a usage
+    error before any step: T = inf would overflow the step count, a NaN
+    tolerance no sweep meets, an infinite one every sweep, and a NaN cap
+    no sup exceeds."""
+    monkeypatch.setenv(f"AALAB_SOLVER__{key}", value)
+    out_dir = tmp_path / "d"
+    code, _, err = run_cli(["simulate", "--config", "decay", "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("env, message", [
+    ({"NONLINEARITY__ID": "cubic-unstable", "INITIAL__AMPLITUDE": "20"}, "reduce dt"),
+    ({"NONLINEARITY__ID": "cubic", "SOLVER__PICARD_MAX_ITER": "1",
+      "SOLVER__PICARD_TOL": "1e-300"}, "no convergence in 1 refinements at t = 0")])
+def test_simulate_reports_solver_errors(tmp_path, capsys, monkeypatch, env, message):
+    """A contraction factor at 1/2 (the growth cubic from 20 * mode 1) and
+    a Picard budget run out are usage errors: one line, exit 1."""
+    for key, value in env.items():
+        monkeypatch.setenv(f"AALAB_{key}", value)
+    code, _, err = run_cli(["simulate", "--config", "decay", "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_outputs_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AALAB_SOLVER__T", "0.25")
     out_a = tmp_path / "a"

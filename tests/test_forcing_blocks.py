@@ -14,15 +14,16 @@ the frozen application and the sup it takes and hands back are each held
 to it.  At order one it first tries the linear step, with no g, and its
 a-priori acceptance test.
 Forcing blocks, the shared base, the single synthesis per sweep and the
-linear runs change no arithmetic, so those checks are exact equality, not
-a tolerance; so are unforced and order-two marches, stepped one at a time.
-A forced order-one march solves its steps in Picard blocks
-(``Stepper.block``), whose batched products round differently from a
-step's: it is held to the contract of tests/test_discrete_solution.py
-instead, within (picard_tol + TIGHT) S of the per-step oracle march at
-TIGHT, and each block's rows are held to the block's fixed point.  The
-comparison with the forcing formula the per-part contraction replaced has a
-bound, derived from the operation counts of both.
+linear steps a ``Stepper.step`` call takes together change no arithmetic,
+so those checks are exact equality, not a tolerance; so are unforced and
+order-two marches, one row per call where they sweep.  A forced order-one
+march solves up to PICARD_BLOCK steps per call as one Picard block, whose
+batched products round differently from a step's: it is held to the
+contract of tests/test_discrete_solution.py instead, within (picard_tol +
+TIGHT) S of the per-step oracle march at TIGHT, and each block's rows are
+held to the block's fixed point.  The comparison with the forcing formula
+the per-part contraction replaced has a bound, derived from the operation
+counts of both.
 """
 
 from dataclasses import replace
@@ -134,8 +135,8 @@ def oracle_linear_step(stepper, coeffs, t, term, radius, q):
     no g, every coefficient below the smallest normal float set to 0.  Tried
     when (q r + gain |g(0)|) / (1 - q) <= tol at the incoming radius r, and
     accepted when (q s0 + gain |g(0)| + K sqrt(2 / L) tiny) / (1 - q) <= tol,
-    with s0 its sup and q the factor at the larger of r and s0.  Returns what
-    ``Stepper.step`` returns, with -1 applications of g, or None."""
+    with s0 its sup and q the factor at the larger of r and s0.  Returns
+    (coeffs, -1, [], values, sup), -1 applications of g, or None."""
     basis, tol, tiny = stepper.basis, stepper.config.picard_tol, np.finfo(float).tiny
     dt = stepper.config.dt
     gain = oracle_gain(basis, False, dt)
@@ -161,8 +162,8 @@ def oracle_step(stepper, coeffs, t, term):
     every sweep; the first iterate that passes the stopping test is
     accepted, the frozen one too.  The test is q / (1 - q) d <= tol at order
     one, with q the factor at the running radius, and d <= tol at order two.
-    Returns what ``Stepper.step`` returns, refinement distances always
-    collected."""
+    Returns (coeffs, iterations, distances, values, sup) of the step,
+    refinement distances always collected."""
     cfg, E = stepper.config, stepper.E
     vx = coeffs @ E
     radius = float(np.max(np.abs(vx)))
@@ -342,37 +343,83 @@ def planted_subnormals(basis):
     return c
 
 
-def count_steps(monkeypatch):
-    """The t of every ``Stepper.step`` call from here on, in order."""
+def record_steps(monkeypatch):
+    """The (start t, rows taken) of every ``Stepper.step`` call that returns
+    from here on, in order."""
     calls = []
     step = sv.Stepper.step
-    monkeypatch.setattr(sv.Stepper, "step",
-                        lambda self, coeffs, t, *a, **k: calls.append(t) or step(self, coeffs, t, *a, **k))
+
+    def recorded(self, coeffs, t, *args, **kwargs):
+        out = step(self, coeffs, t, *args, **kwargs)
+        calls.append((t, len(out[0])))
+        return out
+
+    monkeypatch.setattr(sv.Stepper, "step", recorded)
     return calls
+
+
+@pytest.mark.parametrize("order2, start, steps", [(False, "mode1", 300), (True, "mode2", 200)])
+def test_one_step_call_per_swept_step(ref_basis, monkeypatch, order2, start, steps):
+    """Unforced marches at order one and order two sweep one row per
+    ``Stepper.step`` call, so they make one call per step that is not
+    linear.  From the companion's data, 0.5 * mode 1 at order one (no step
+    before t = 0.512 is linear) and 0.3 * mode 2 at order two, T = 0.3 and
+    0.2 make the 300 + 200 calls the benchmark traces."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=steps * 1e-3, order2=order2)
+    x0 = sv.reference_initial_field(ref_basis, start, 0.5 if start == "mode1" else 0.3)
+    calls = record_steps(monkeypatch)
+    traj = sv.solve(x0, cfg, sv.make_nonlinearity("cubic"))
+    monkeypatch.undo()
+    assert len(traj.picard_counts) == steps and np.all(traj.picard_counts >= 0)
+    assert calls == [(t, 1) for t in traj.stamps[:-1]]
+
+
+def test_forced_step_calls_stay_in_a_forcing_block(ref_basis, forcings, monkeypatch):
+    """A forced order-one march: each ``Stepper.step`` call takes at most
+    PICARD_BLOCK rows, all in one forcing block, and the calls tile the
+    march.  From 3.5 * mode 1 the first block halves to 8 rows, so the blocks
+    of 16 after it start 8 rows off the forcing blocks' grid, and the call
+    at step 120 takes the 8 rows left in its forcing block."""
+    cfg = sv.SolverConfig(dt=1e-3, horizon=0.3)
+    x0 = sv.reference_initial_field(ref_basis, "mode1", 3.5)
+    calls = record_steps(monkeypatch)
+    traj = sv.solve(x0, cfg, sv.make_nonlinearity("cubic"), forcings["profiled"])
+    monkeypatch.undo()
+    rows = [n for _, n in calls]
+    firsts = np.cumsum([0] + rows)
+    assert firsts[-1] == len(traj.picard_counts) == 300
+    assert [t for t, _ in calls] == list(traj.stamps[firsts[:-1]])
+    assert max(rows) == sv.PICARD_BLOCK
+    for j, n in zip(firsts, rows):
+        assert j // sv.FORCING_BLOCK == (j + n - 1) // sv.FORCING_BLOCK
+    assert (sv.FORCING_BLOCK - 8, 8) in zip(firsts, rows)
 
 
 @pytest.mark.parametrize("start, g, horizon", [("mode1", "cubic", 1.3), ("subnormal", "cubic", 0.4),
                                               ("mode1", "zero", 0.4)])
 def test_linear_runs_bit_identical(ref_basis, monkeypatch, start, g, horizon):
-    """Unforced order-one marches whose linear steps are taken as runs of up
-    to FORCING_BLOCK after the first: from 0.5 * mode 1 (the companion's
-    data) the 788 steps from t = 0.512 on, 1 + 6 full runs + 19; from the
-    decayed state with subnormal coefficients, and with g = 0, where q = 0,
-    all 400 steps, 1 + 3 full runs + 15.  In each, decaying high
-    modes pass through the subnormal range inside the runs, where the run's
-    one flush must set the zeros of a flush per step.  Only the steps up to
-    the first linear one are taken alone."""
+    """Unforced order-one marches whose linear steps are taken as runs, one
+    ``Stepper.step`` call from the first linear step to the end of its
+    forcing block and one per forcing block after it: from 0.5 * mode 1
+    (the companion's data) the 788 steps from t = 0.512 on, a block start:
+    6 full blocks + 20; from the decayed state with subnormal coefficients,
+    and with g = 0, where q = 0, all 400 steps, 3 full blocks + 16.  In
+    each, decaying high modes pass through the subnormal range inside the
+    runs, where the run's one flush must set the zeros of a flush per step.
+    Only the steps before the first linear one are taken alone."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=horizon)
     x0 = (sp.Field(ref_basis, coeffs=planted_subnormals(ref_basis)) if start == "subnormal"
           else sv.reference_initial_field(ref_basis, start, 0.5))
     nonlinearity = sv.make_nonlinearity(g)
-    calls = count_steps(monkeypatch)
+    calls = record_steps(monkeypatch)
     traj = sv.solve(x0, cfg, nonlinearity)
     monkeypatch.undo()
     linear = np.flatnonzero(traj.picard_counts == -1)
-    assert linear.size > 3 * sv.FORCING_BLOCK and len(traj.picard_counts) % sv.FORCING_BLOCK != 0
+    n = len(traj.picard_counts)
+    assert linear.size > 3 * sv.FORCING_BLOCK and n % sv.FORCING_BLOCK != 0
     assert np.all(traj.picard_counts[linear[0]:] == -1)
-    assert len(calls) == linear[0] + 1
+    starts = [j for j in range(n) if j <= linear[0] or j % sv.FORCING_BLOCK == 0]
+    assert [t for t, _ in calls] == list(traj.stamps[starts])
     unflushed = np.exp(-ref_basis.eigenvalues * cfg.dt) * traj.coeffs[linear[0] + 1:-1]
     assert np.any((unflushed != 0.0) & (np.abs(unflushed) < np.finfo(float).tiny))
     assert_same_march(traj, oracle_solve(x0, cfg, nonlinearity, sv.ForcingSpec(ref_basis)))
@@ -387,19 +434,19 @@ RISING = [0.43, -0.51, -0.49, -0.26, -1.0, -0.34, -0.89, -0.72,
 
 @pytest.mark.parametrize("cut", ["cap", "post-check", "q-recompute"])
 def test_run_cut_at_a_rising_sup(monkeypatch, cut):
-    """A run cut at state 4, whose grid sup s4 rises above s3 and every sup
-    after the initial one; the step from stamp 3 to 4 must be left to
-    ``Stepper.step``:
-    - ``cap``: g = 0 and the blow-up cap between s3 and s4.  Step 0 is
-      linear, the run after it takes states 2 and 3, and the march stops at
-      stamp 4.
+    """A run of linear steps that reaches state 4, whose grid sup s4 rises
+    above s3 and every sup after the initial one; the run must end before
+    the step from stamp 3 to 4, or the march there:
+    - ``cap``: g = 0 and the blow-up cap between s3 and s4.  Every step is
+      linear, so one ``Stepper.step`` call takes all 40 rows, and ``solve``
+      writes them up to state 4, the first above the cap, and stops.
     - ``post-check``: cubic g at 0.005 times the field, and ``picard_tol``
       between the bound at the incoming radius s3 and the bound at s4 with
       the factor q(s3), so s4 fails only the check at its own sup.
     - ``q-recompute``: ``picard_tol`` between that bound and the one with
       q(s4), so s4 fails only because its sup raises the radius.
-    In the last two, step 0 from the larger s0 takes a sweep, step 1 is
-    linear, the run after it takes state 3, and step 3 takes a sweep."""
+    In the last two, step 0 from the larger s0 takes a sweep, the call at
+    step 1 takes the linear states 2 and 3, and step 3 takes a sweep."""
     basis = sp.SpectralBasis(length=1.0, modes=16, grid=64)
     dt = 3e-6
     amplitude = 1.0 if cut == "cap" else 0.005
@@ -419,10 +466,10 @@ def test_run_cut_at_a_rising_sup(monkeypatch, cut):
         assert pre < post_q3 < post_q4
         lo, hi = (pre, post_q3) if cut == "post-check" else (post_q3, post_q4)
         cfg = sv.SolverConfig(dt=dt, horizon=40 * dt, picard_tol=math.sqrt(lo * hi))
-    calls = count_steps(monkeypatch)
+    calls = record_steps(monkeypatch)
     traj = sv.solve(x0, cfg, g)
     monkeypatch.undo()
-    assert calls[:3] == ([0.0, 3 * dt] if cut == "cap" else [0.0, dt, 3 * dt])
+    assert calls[:3] == ([(0.0, 40)] if cut == "cap" else [(0.0, 1), (dt, 2), (3 * dt, 1)])
     if cut == "cap":
         assert traj.blown_up and len(traj.picard_counts) == 4
     else:
@@ -437,7 +484,8 @@ def test_run_keeps_the_pre_check_for_any_estimator(ref_basis, monkeypatch):
     own sup s_{k+1} passes the check after it, (q s_{k+1} + flush) / (1 - q)
     <= tol.  With a nondecreasing estimate the last row's check implies the
     next one's at its incoming radius; with this one it does not, and the
-    run must leave that row to ``Stepper.step``."""
+    run must end before that row, which the next ``Stepper.step`` call
+    sweeps."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.3)
     x0 = sv.reference_initial_field(ref_basis, "mode1", 0.5)
     zero = sv.make_nonlinearity("zero")
@@ -449,10 +497,10 @@ def test_run_keeps_the_pre_check_for_any_estimator(ref_basis, monkeypatch):
     q = cfg.picard_tol / (0.5 * (s[k] + s[k + 1]) + cfg.picard_tol)
     L = q / oracle_gain(ref_basis, False, cfg.dt)
     g = sv.NonlinearitySpec("zero", zero.fn, lambda R: L * (np.asarray(R) < a))
-    calls = count_steps(monkeypatch)
+    calls = record_steps(monkeypatch)
     traj = sv.solve(x0, cfg, g)
     monkeypatch.undo()
-    assert k * cfg.dt in calls
+    assert (k * cfg.dt, 1) in calls
     assert traj.picard_counts[k] == 0 and np.all(np.delete(traj.picard_counts, k) == -1)
     assert_same_march(traj, oracle_solve(x0, cfg, g, sv.ForcingSpec(ref_basis)))
 
@@ -476,7 +524,7 @@ def test_accepted_step_is_within_picard_tol_of_its_fixed_point(ref_basis, order2
          else sv.reference_initial_field(ref_basis, start, 0.4).coeffs)
     counts = []
     for j in range(int(round(cfg.horizon / cfg.dt))):
-        y, iterations, _, vy, _ = stepper.step(c, j * cfg.dt)
+        [y], iterations, [vy], _ = stepper.step(c, j * cfg.dt)
         base = stepper.base(c, 0.0, stepper.nonlinear(c @ E))
         fixed = fixed_point_values(stepper, base, vy)
         assert float(np.max(np.abs(fixed - vy))) <= cfg.picard_tol
@@ -509,20 +557,6 @@ def block_fixed_point_values(stepper, coeffs, terms):
     return np.array(rows)
 
 
-def record_blocks(monkeypatch):
-    """The (start t, rows taken) of every ``Stepper.block`` call from here on."""
-    calls = []
-    block = sv.Stepper.block
-
-    def recorded(self, coeffs, t, *args):
-        out = block(self, coeffs, t, *args)
-        calls.append((t, len(out[0])))
-        return out
-
-    monkeypatch.setattr(sv.Stepper, "block", recorded)
-    return calls
-
-
 @pytest.mark.parametrize("forced, t0, start", [(True, 2.9, "mode1"), (True, 26.9, "mode3"),
                                                (False, 0.0, "mode2")])
 def test_accepted_block_rows_are_within_picard_tol_of_the_fixed_point(ref_basis, forcings,
@@ -530,14 +564,16 @@ def test_accepted_block_rows_are_within_picard_tol_of_the_fixed_point(ref_basis,
     """The contract of ``picard_tol`` for a block: every row of every
     accepted block lies within the tolerance of the block's fixed point in
     the grid sup norm.  Checked on the blocks of marches over the spike at
-    3, over the spiky step at 26.944 (mode 3 data, 0.8) and unforced from
-    0.4 * mode 2, one forcing block each (the unforced march takes linear
-    steps from there), each Picard block marched by ``Stepper.block`` on
-    the forcing terms of ``forcing_blocks``, with the fixed point solved out
-    row by row."""
+    3, over the spiky step at 26.944 (mode 3 data, 0.8) and, with a forcing
+    whose profile is 0 and whose terms are therefore 0, from 0.4 * mode 2,
+    one forcing block each.  Each ``Stepper.step`` call is handed the rest
+    of the forcing block's terms from ``forcing_blocks`` and takes one
+    Picard block, and the fixed point is solved out row by row."""
     cfg = sv.SolverConfig(dt=1e-3)
+    none = sv.ForcingSpec.modulated(ref_basis, sine_signal(),
+                                    sp.Field(ref_basis, coeffs=np.zeros(ref_basis.modes)))
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"),
-                         forcings["profiled"] if forced else None, cfg)
+                         forcings["profiled"] if forced else none, cfg)
     c = sv.reference_initial_field(ref_basis, start, 0.8 if start == "mode3" else 0.4).coeffs
     values = c @ stepper.E
     sup = float(np.max(np.abs(values)))
@@ -545,11 +581,11 @@ def test_accepted_block_rows_are_within_picard_tol_of_the_fixed_point(ref_basis,
     [(spiky, terms)] = stepper.forcing_blocks(stamps[:-1], stamps[1:])
     assert spiky.any() == (t0 > 20.0)
     refinements = []
+    assert forced or not np.any(terms)
     for i in range(0, sv.FORCING_BLOCK, sv.PICARD_BLOCK):
-        block_terms = terms[i:i + sv.PICARD_BLOCK]
-        Y, k, V, S = stepper.block(c, stamps[i], block_terms, values, sup)
+        Y, k, V, S = stepper.step(c, stamps[i], terms[i:], values, sup)
         assert len(Y) == sv.PICARD_BLOCK and k >= 1
-        fixed = block_fixed_point_values(stepper, c, block_terms)
+        fixed = block_fixed_point_values(stepper, c, terms[i:i + sv.PICARD_BLOCK])
         assert float(np.max(np.abs(fixed - V))) <= cfg.picard_tol
         assert np.array_equal(S, np.max(np.abs(V), axis=1))
         c, values, sup = Y[-1], V[-1], S[-1]
@@ -560,11 +596,11 @@ def test_accepted_block_rows_are_within_picard_tol_of_the_fixed_point(ref_basis,
 @pytest.mark.parametrize("amplitude, linear", [(1e-9, True), (0.4, False)])
 def test_block_start_takes_an_accepted_linear_step_alone(ref_basis, forcings, amplitude,
                                                          linear):
-    """``Stepper.block`` makes the linear-step decision of ``Stepper.step``
-    once: from 1e-9 * mode 1 under the reference forcing the linear step
-    passes both of its checks and is the block's one row (-1 refinements),
-    the floats of ``step``; from 0.4 it is not tried, and the block solves
-    all its rows."""
+    """``Stepper.step`` makes the linear-step decision once per call: from
+    1e-9 * mode 1 under the reference forcing the linear step passes both of
+    its checks and is the call's one row (-1 refinements), the floats of the
+    per-step oracle; from 0.4 it is not tried, and the call solves a block
+    of PICARD_BLOCK rows."""
     cfg = sv.SolverConfig(dt=1e-3)
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings["profiled"], cfg)
     c = sv.reference_initial_field(ref_basis, "mode1", amplitude).coeffs
@@ -572,9 +608,8 @@ def test_block_start_takes_an_accepted_linear_step_alone(ref_basis, forcings, am
     sup = float(np.max(np.abs(values)))
     stamps = 2.9 + cfg.dt * np.arange(sv.PICARD_BLOCK + 1)
     [(_, terms)] = stepper.forcing_blocks(stamps[:-1], stamps[1:])
-    Y, k, V, S = stepper.block(c, stamps[0], terms, values, sup)
-    y, iterations, _, v, s = stepper.step(c, stamps[0], prepared=(False, terms[0]),
-                                          values=values, sup=sup)
+    Y, k, V, S = stepper.step(c, stamps[0], terms, values, sup)
+    y, iterations, _, v, s = oracle_step(stepper, c, stamps[0], terms[0])
     assert (k == iterations == -1) == linear
     if linear:
         assert len(Y) == 1
@@ -590,23 +625,23 @@ def test_block_halves_where_the_margin_fails(ref_basis, forcings, monkeypatch, a
     at r = 3 q_16 = 0.43 and the block keeps its 16 rows; at r = 4 and 4.5
     q_16 = 0.77 and 0.97 fail the margin while q_8 = 0.39 and 0.49 meet it,
     so the block halves once and takes 8 rows, each within ``picard_tol``
-    of the fixed point.  The forced march from there (the reference forcing
+    of the fixed point, on zero forcing terms.  The forced march from there (the reference forcing
     from t = 0) halves the same way, then takes full blocks as the state
     decays, and stays within the contract bound of the per-step one."""
     cfg = sv.SolverConfig(dt=1e-3, horizon=0.2)
     cubic = sv.make_nonlinearity("cubic")
-    stepper = sv.Stepper(ref_basis, cubic, None, cfg)
+    stepper = sv.Stepper(ref_basis, cubic, forcings["profiled"], cfg)
     x0 = sv.reference_initial_field(ref_basis, "mode1", amplitude)
     values = x0.coeffs @ stepper.E
     sup = float(np.max(np.abs(values)))
     factors = {b: cubic.lipschitz(sup) * gain for b, gain in stepper.block_gains.items()}
     assert (factors[16] >= 0.5) == (rows < 16) and factors[8] < 0.5
     terms = np.zeros((sv.PICARD_BLOCK, ref_basis.modes))
-    Y, _, V, _ = stepper.block(x0.coeffs, 0.0, terms, values, sup)
+    Y, _, V, _ = stepper.step(x0.coeffs, 0.0, terms, values, sup)
     assert len(Y) == rows
     fixed = block_fixed_point_values(stepper, x0.coeffs, terms[:rows])
     assert float(np.max(np.abs(fixed - V))) <= cfg.picard_tol
-    blocks = record_blocks(monkeypatch)
+    blocks = record_steps(monkeypatch)
     traj = sv.solve(x0, cfg, cubic, forcings["profiled"])
     monkeypatch.undo()
     assert blocks[0] == (0.0, rows) and sv.PICARD_BLOCK in {n for _, n in blocks[1:]}
@@ -622,7 +657,7 @@ def test_block_halves_where_the_picard_budget_runs_out(monkeypatch):
     cfg = replace(scenario.solver_config(), horizon=1.0, picard_max_iter=2)
     args = (scenario.initial_field(basis), cfg, scenario.nonlinearity(),
             scenario.forcing(basis))
-    blocks = record_blocks(monkeypatch)
+    blocks = record_steps(monkeypatch)
     traj = sv.solve(*args)
     monkeypatch.undo()
     assert max(traj.picard_counts) == 2
@@ -648,7 +683,7 @@ def test_block_march_raises_where_the_per_step_march_raises(ref_basis, forcings,
     x0 = sv.reference_initial_field(ref_basis, "mode1", amplitude)
     with pytest.raises(error) as expected:
         oracle_solve(x0, cfg, g, forcings["profiled"])
-    blocks = record_blocks(monkeypatch)
+    blocks = record_steps(monkeypatch)
     with pytest.raises(error) as got:
         sv.solve(x0, cfg, g, forcings["profiled"])
     monkeypatch.undo()
@@ -673,7 +708,7 @@ def test_forced_blowup_stops_at_the_per_step_stamp(monkeypatch):
     cfg = scenario.solver_config()
     args = (scenario.initial_field(basis), cfg, scenario.nonlinearity(),
             scenario.forcing(basis))
-    blocks = record_blocks(monkeypatch)
+    blocks = record_steps(monkeypatch)
     traj = sv.solve(*args)
     monkeypatch.undo()
     assert traj.blown_up and len(traj) == 244
@@ -814,10 +849,10 @@ def check_single_steps(basis, forcing, t, order2):
     v = x.coeffs @ basis.eigenfunctions
     frozen = oracle_step_map(basis, cubic, order2, base, 1e-3, v, v)
     assert np.array_equal(stepper.step_frozen(x.coeffs, t), frozen)
-    oracle = stepper.step(x.coeffs, t, prepared=oracle_forcing_step(stepper, t))
+    oracle = stepper.step(x.coeffs, t, oracle_forcing_step(stepper, t)[1][None])
     out = stepper.step(x.coeffs, t)
-    assert np.array_equal(out[0], oracle[0]) and out[1] == oracle[1]
-    assert np.array_equal(out[3], out[0] @ basis.eigenfunctions)
+    assert np.array_equal(out[0], oracle[0]) and out[1] == oracle[1] and len(out[0]) == 1
+    assert np.array_equal(out[2], out[0] @ basis.eigenfunctions)
 
 
 @pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
@@ -828,6 +863,14 @@ def test_single_steps_bit_identical(ref_basis, forcings, t):
 @pytest.mark.parametrize("t", [0.25, 2.5, 3.0, 80.9999])
 def test_single_steps_order2_bit_identical(ref_basis, forcings, t):
     check_single_steps(ref_basis, forcings["profiled"], t, order2=True)
+
+
+def single_step(stepper, coeffs, t, **held):
+    """``Stepper.step`` on the step at t alone, as the oracles return it:
+    (coeffs, iterations, distances, values, sup), one row."""
+    distances = []
+    [y], iterations, [values], [sup] = stepper.step(coeffs, t, distances=distances, **held)
+    return y, iterations, distances, values, sup
 
 
 def assert_same_step(got, expected):
@@ -865,10 +908,9 @@ def test_step_matches_picard_oracle(ref_basis, forcings, order2, forced, dt):
             assert expected[1] == (0 if order2 else -1) and expected[2] == []
         else:
             assert expected[1] > 1
-        assert_same_step(stepper.step(c, t, collect_distances=True), expected)
+        assert_same_step(single_step(stepper, c, t), expected)
         values = c @ ref_basis.eigenfunctions
-        got = stepper.step(c, t, collect_distances=True, values=values,
-                           sup=float(np.max(np.abs(values))))
+        got = single_step(stepper, c, t, values=values, sup=float(np.max(np.abs(values))))
         assert_same_step(got, expected)
 
 
@@ -894,6 +936,31 @@ def test_step_raises_oracle_noncontraction(ref_basis, amplitude):
             expected.value.t, expected.value.radius, expected.value.factor)
 
 
+def test_linear_step_raises_oracle_noncontraction_at_its_sup():
+    """A linear step whose own sup takes the factor to 1/2 raises there,
+    with the oracle's radius and factor, rather than sweeping: g constant
+    at 1e-6 (gain |g(0)| about 3e-12, so the step is tried) with an
+    estimate that is 0 up to a and 0.75 / gain past it, a between the
+    grid sups s1 < s2 of states 1 and 2 of the RISING data."""
+    basis = sp.SpectralBasis(length=1.0, modes=16, grid=64)
+    dt = 3e-6
+    decay = np.exp(-basis.eigenvalues * dt)
+    c1 = np.array(RISING) * decay
+    s1, s2 = (float(np.max(np.abs(c @ basis.eigenfunctions))) for c in (c1, c1 * decay))
+    assert s1 < s2
+    L = 0.75 / oracle_gain(basis, False, dt)
+    g = sv.NonlinearitySpec("constant", lambda r: np.full(np.shape(r), 1e-6),
+                            lambda R: L * (np.asarray(R) > 0.5 * (s1 + s2)))
+    stepper = sv.Stepper(basis, g, None, sv.SolverConfig(dt=dt))
+    with pytest.raises(sv.NonContractionError) as expected:
+        oracle_step(stepper, c1, 0.5, 0.0)
+    assert expected.value.radius == s2
+    with pytest.raises(sv.NonContractionError) as got:
+        stepper.step(c1, 0.5)
+    assert (got.value.t, got.value.radius, got.value.factor) == (
+        expected.value.t, expected.value.radius, expected.value.factor)
+
+
 def test_step_raises_oracle_picard_error(ref_basis, forcings):
     cfg = sv.SolverConfig(dt=1e-3, picard_max_iter=1, picard_tol=1e-300)
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings["profiled"], cfg)
@@ -912,10 +979,9 @@ def test_step_results_survive_the_next_step(ref_basis, order2):
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), None,
                          sv.SolverConfig(dt=1e-3, order2=order2))
     c = sv.reference_initial_field(ref_basis, "mode1", 0.5).coeffs
-    first = stepper.step(c, 0.0, collect_distances=True)
+    first = single_step(stepper, c, 0.0)
     kept = [np.copy(a) for a in first[:4]]
-    stepper.step(sv.reference_initial_field(ref_basis, "mode2", 0.9).coeffs, 0.0,
-                 collect_distances=True)
+    single_step(stepper, sv.reference_initial_field(ref_basis, "mode2", 0.9).coeffs, 0.0)
     for a, b in zip(first[:4], kept):
         assert np.array_equal(a, b)
 

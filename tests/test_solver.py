@@ -230,28 +230,28 @@ def _counting_cubic(shapes):
 def test_solve_evaluates_g_once_per_sweep_on_grid_vectors(basis, reference_forcing, order2,
                                                           monkeypatch):
     """g is evaluated once per Picard sweep, on grid values only.  At order
-    2 every step is a block of one: g sees (N + 1)-vectors, count + 1 of them
-    per step, the frozen application reusing g(x(t)) that the base holds.
-    At order 1 this forced march takes blocks (``Stepper.block``): g sees x(t)
-    once per block and each refinement's (b, N + 1) iterates, so N + 1 points
+    2 every ``Stepper.step`` call takes one row: g sees (N + 1)-vectors,
+    count + 1 of them per step, the frozen application reusing g(x(t)) that
+    the base holds.  At order 1 this forced march takes blocks: g sees x(t)
+    once per call and each refinement's (b, N + 1) iterates, so N + 1 points
     per block plus b (N + 1) per refinement (no block halves here), and the
     blocks, with their refinements written for each of their steps, tile
     ``picard_counts``."""
     shapes, blocks = [], []
-    block = sv.Stepper.block
+    step = sv.Stepper.step
 
     def recorded(self, coeffs, t, *args):
-        out = block(self, coeffs, t, *args)
+        out = step(self, coeffs, t, *args)
         blocks.append((len(out[0]), out[1]))
         return out
 
-    monkeypatch.setattr(sv.Stepper, "block", recorded)
+    monkeypatch.setattr(sv.Stepper, "step", recorded)
     traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5),
                     sv.SolverConfig(dt=1e-3, horizon=0.3, order2=order2),
                     _counting_cubic(shapes), reference_forcing)
     counts = traj.picard_counts
     if order2:
-        assert blocks == []
+        assert {b for b, _ in blocks} == {1} and len(blocks) == len(counts)
         assert set(shapes) == {(basis.grid + 1,)}
         assert len(shapes) == int(np.sum(counts)) + len(counts)  # frozen ones count
         return
