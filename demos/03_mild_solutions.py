@@ -45,12 +45,12 @@ for order2 in (False, True):
           + f"; ratios {errs[0]/errs[1]:.2f}, {errs[1]/errs[2]:.2f}")
 
 print("\n== per-step fixed point ==")
-out, iterations, dists = step_picard(x0, 0.0, 1e-3, cubic, forcing,
-                                     collect_distances=True)
+step_cfg = SolverConfig(dt=1e-3)
+out, iterations, dists = step_picard(x0, 0.0, cubic, forcing, step_cfg)
 print(f"refinement distances: " + ", ".join(f"{d:.2e}" for d in dists)
       + f" ({iterations} refinements)")
 radius = max(x0.sup_norm(), out.sup_norm())
-gain = Stepper(basis, cubic, forcing, SolverConfig(dt=1e-3)).gain
+gain = Stepper(basis, cubic, forcing, step_cfg).gain
 print(f"contraction factor L_R * gain = {cubic.lipschitz(radius) * gain:.2e} "
       f"(gain = {gain / 1e-3:.4f} dt on the grid)")
 

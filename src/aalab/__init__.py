@@ -31,7 +31,7 @@ from .solver import (ForcingSpec, NonContractionError, NonlinearitySpec,
                      SolverConfig, Trajectory, global_bound_estimate,
                      load_trajectory, make_nonlinearity, mild_residual,
                      reference_initial_field, save_trajectory, solve,
-                     step_exponential, step_picard, translation_extension)
+                     step_picard, translation_extension)
 from .compactness import (CoverReport, PointCloud, cover_ladder, energy,
                           energy_monotonicity_check, greedy_cover,
                           minimal_solution_select, range_compactness_report,

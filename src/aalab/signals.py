@@ -370,25 +370,24 @@ def load_sampled_csv(path, name=None):
     return SampledSignal(data[:, 0], data[:, 1], name=name or f"sampled:{path}")
 
 
-def resolve_signal(ident, n_max=6, level=1, bump=None, value=1.0):
+def resolve_signal(ident, n_max=6, level=1):
     """Resolve a registry id to a Signal.
 
-    Known ids: ``bump``, ``beta``, ``a``, ``b``, ``sin``, ``const``,
+    Known ids: ``bump``, ``beta``, ``a``, ``b``, ``sin``, ``const`` (1.0),
     ``const:<c>``, ``sampled:<path>``.
     """
-    bump = bump if bump is not None else BumpSpec()
     if ident == "bump":
-        return bump_signal(bump)
+        return bump_signal()
     if ident == "beta":
-        return SpikeLevelSignal(level, SpikeTrainSpec(bump=bump, n_max=max(level, 1)))
+        return SpikeLevelSignal(level, SpikeTrainSpec(n_max=max(level, 1)))
     if ident == "a":
-        return SpikeTrainSignal(SpikeTrainSpec(bump=bump, n_max=n_max))
+        return SpikeTrainSignal(SpikeTrainSpec(n_max=n_max))
     if ident == "b":
         return reciprocal_sine_signal()
     if ident == "sin":
         return sine_signal()
     if ident == "const":
-        return constant_signal(value)
+        return constant_signal(1.0)
     if ident.startswith("const:"):
         return constant_signal(float(ident.split(":", 1)[1]))
     if ident.startswith("sampled:"):

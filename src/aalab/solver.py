@@ -21,24 +21,24 @@ gain (|g(0)| + L_R s), is within it takes the linear step (no g) instead.
 
 ``solve`` marches by one entry, ``Stepper.step``, which it hands the forcing
 terms of the rest of the current forcing block; a call takes as many of
-those rows as its start allows.  A start that passes the linear-step test
-takes linear steps: with no forcing every row that passes the test, T(dt)^j
-x as one running product with the floats of the steps, and with forcing one
-row.  Otherwise a forced order-one march solves PICARD_BLOCK rows together,
-as one Picard iteration over the block (waveform relaxation: Lelarasmee,
-Ruehli and Sangiovanni-Vincentelli, IEEE TCAD 1982; Miekkala and Nevanlinna,
-SIAM J. Sci. Stat. Comput. 1987).  The block's linear part Z, T(dt)^m x plus
-the causal sum of its forcing terms, is formed once; each sweep synthesizes
-the b iterates with one product, applies g once to their (b, N + 1) grid
-values, projects with one product and sets Y = Z + L(wy P g), with L the
-per-mode causal Toeplitz operator of decay^(m - i).  Its factor is q_b =
-L_R gain_b, gain_b the grid-sup norm of the block's nonlinear half over its
-rows (``Stepper.block_gains``), and it stops once q_b / (1 - q_b) d <=
-picard_tol, d the move of all its grid values: then every row lies within
-picard_tol of the block's fixed point, the solution of the implicit step
-equations over the block.  A block whose margin or Picard budget fails
-halves.  Unforced marches, order two and a block halved to one row sweep a
-single step from its ``base``.
+those rows as its start allows.  A start whose first row passes the
+linear-step test takes linear steps: with no forcing every row that passes
+it, T(dt)^j x as one running product with the floats of the steps, and with
+forcing one row.  Otherwise a forced order-one march solves PICARD_BLOCK
+rows together, as one Picard iteration over the block (waveform relaxation:
+Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE TCAD 1982; Miekkala
+and Nevanlinna, SIAM J. Sci. Stat. Comput. 1987).  The block's linear part
+Z, T(dt)^m x plus the causal sum of its forcing terms, is formed once; each
+sweep synthesizes the b iterates with one product, applies g once to their
+(b, N + 1) grid values, projects with one product and sets Y = Z + L(wy P
+g), with L the per-mode causal Toeplitz operator of decay^(m - i).  Its
+factor is q_b = L_R gain_b, gain_b the grid-sup norm of the block's
+nonlinear half over its rows (``Stepper.block_gains``), and it stops once
+q_b / (1 - q_b) d <= picard_tol, d the move of all its grid values: then
+every row lies within picard_tol of the block's fixed point, the solution of
+the implicit step equations over the block.  A block whose margin or Picard
+budget fails halves.  Unforced marches, order two and a block halved to one
+row sweep a single step from its ``base``.
 
 Spike-train forcing is integrated with breakpoint-aware subdivision, so a
 narrow spike crossing a step boundary is never under-resolved.
@@ -52,12 +52,13 @@ is the only place the forcing is integrated, and a step's term is the same
 float in a block as alone; against the full product (D * H(t + rel)) @ w it
 replaced, the terms moved by at most 3.7e-16 of the largest (T = 50
 reference run).  ``Stepper.base`` and ``Stepper.step_map`` write a single
-step's map: the single-step helpers and the residual apply it to a base
+step's map: ``Stepper.step_frozen`` and ``mild_residual`` apply it to a base
 formed once per step, and the Picard kernel ``Stepper._sweeps`` takes that
 base as the Z of a block of one, whose sweep Y = Z + wy P g is the map.
+The step length is always ``SolverConfig.dt``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import functools
 import math
 import os
@@ -320,8 +321,12 @@ class Trajectory:
         return self.coeffs @ self.basis.eigenfunctions
 
     def index_at(self, t):
-        i = int(np.argmin(np.abs(self.stamps - t)))
-        return i
+        """The index of the stamp nearest t, which must lie in the span (up
+        to the 1e-12 that ``restrict`` allows) or ValueError."""
+        if not self.stamps[0] - 1e-12 <= t <= self.stamps[-1] + 1e-12:
+            raise ValueError(f"t = {t:g} lies outside the trajectory's span "
+                             f"[{self.stamps[0]:g}, {self.stamps[-1]:g}]")
+        return int(np.argmin(np.abs(self.stamps - t)))
 
     def restrict(self, t0, t1):
         mask = (self.stamps >= t0 - 1e-12) & (self.stamps <= t1 + 1e-12)
@@ -473,11 +478,6 @@ class Stepper:
             block = slice(b0, b0 + FORCING_BLOCK)
             yield self._forcing_block(starts[block], ends[block])
 
-    def forcing_steps(self, starts, ends=None):
-        """The (spiky, term) pair of each step of ``forcing_blocks``."""
-        for spiky, terms in self.forcing_blocks(starts, ends):
-            yield from zip(spiky, terms)
-
     def _forcing_block(self, starts, ends):
         terms = np.zeros((starts.size, self.basis.modes))
         if self.forcing.is_zero:
@@ -532,28 +532,29 @@ class Stepper:
         the grid values of ``coeffs`` and ``sup`` their sup, if the caller
         holds them.
 
-        q = L_R ``gain`` is checked at the incoming radius.  At order one a
-        start that passes ``_tries_linear`` takes the rows of
-        ``_linear_rows`` (no g, -1 refinements) if there are any.  Otherwise
-        a forced order-one march solves min(len(terms), PICARD_BLOCK) rows
-        together by ``_sweeps``, g frozen at x(t) for the first sweep, with
-        the gain of the smallest rung of ``block_gains`` at or above their
-        number, halving where the margin or the Picard budget fails; an
-        unforced march, order two and a block halved to one row sweep one
-        step from ``base``, appending each refinement's move of the grid
-        values to ``distances`` if given, and raise its NonContractionError
-        and PicardError.  Returns (coeffs, refinements, grid values, sups)
-        of the rows taken, (m, K), an int for every row, (m, N + 1) and (m,).
+        q = L_R ``gain`` is checked at the incoming radius, and
+        ``_linear_rows`` is asked once for linear steps: an order-one start
+        whose first row passes the linear-step test takes its rows (no g, -1
+        refinements).  Otherwise a forced order-one march solves
+        min(len(terms), PICARD_BLOCK) rows together by ``_sweeps``, g frozen
+        at x(t) for the first sweep, with the gain of the smallest rung of
+        ``block_gains`` at or above their number, halving where the margin or
+        the Picard budget fails; an unforced march, order two and a block
+        halved to one row sweep one step from ``base``, appending each
+        refinement's move of the grid values to ``distances`` if given, and
+        raise its NonContractionError and PicardError.  Returns (coeffs,
+        refinements, grid values, sups) of the rows taken, (m, K), an int for
+        every row, (m, N + 1) and (m,).
         """
         if terms is None:
             _, terms = next(self.forcing_blocks([t]))
         values = coeffs @ self.E if values is None else values
         radius = float(np.abs(values).max()) if sup is None else float(sup)
         q = self._check_contraction(t, radius)
-        if self._tries_linear(q, radius):
-            Y, V, S = self._linear_rows(coeffs, t, terms, radius)
-            if len(Y):
-                return Y, -1, V, S
+        rows = self._linear_rows(coeffs, t, terms, radius, q)
+        if rows is not None:
+            Y, V, S = rows
+            return Y, -1, V, S
         # the frozen application uses g(x(t)), which order 2 also puts in the base
         gx = self.nonlinear(values)
         b = min(len(terms), 1 if self.config.order2 or self.forcing.is_zero else PICARD_BLOCK)
@@ -617,17 +618,6 @@ class Stepper:
             f"(last distance {d:.3g}, tol {cfg.picard_tol:g})"
         )
 
-    def _tries_linear(self, q, radius):
-        """Whether an order-one state of grid sup r = ``radius`` tries the
-        linear step: (q r + gain |g(0)|) / (1 - q) <= ``picard_tol``, with q
-        the factor at r; g(0) is evaluated when this can first pass."""
-        tol = self.config.picard_tol
-        if self.config.order2 or not q * radius / (1.0 - q) <= tol:
-            return False
-        if self._g0 is None:
-            self._g0 = float(np.abs(self.g.fn(np.zeros(self.E.shape[1]))).max())
-        return self._linear_bound(q, radius) <= tol
-
     def _linear_bound(self, q, radius, flush_err=0.0):
         """(q r + gain |g(0)| + flush_err) / (1 - q): with q the factor at
         the radius r, a bound on how far the linear step of a state of grid
@@ -635,17 +625,26 @@ class Stepper:
         map's fixed point.  Elementwise on arrays of q and r."""
         return (q * radius + self.gain * self._g0 + flush_err) / (1.0 - q)
 
-    def _linear_rows(self, coeffs, t, terms, radius):
-        """Linear steps, no g, from (t, coeffs) of grid sup ``radius``, a
-        start that passes ``_tries_linear``.  With forcing one row, T(dt)
+    def _linear_rows(self, coeffs, t, terms, radius, q):
+        """Linear steps, no g, at order one from (t, coeffs) of grid sup
+        ``radius`` and factor ``q`` there.  With forcing one row, T(dt)
         coeffs + ``terms[0]``; with none one per row of ``terms``, T(dt)^j
         coeffs as one running product flushed once (a coefficient below
         _TINY stays below it under decay < 1) and synthesized row by row: the
         floats of a step at a time.  Each row is held to the test at its
         incoming radius R and at its own sup, q recomputed where that sup
-        raises R, both factors below 1/2.  Returns (coeffs, grid values,
-        sups) of the longest passing prefix, empty if the first row fails;
-        raises NonContractionError if the first row's sup takes q to 1/2."""
+        raises R, both factors below 1/2.  The first row's test at R =
+        ``radius`` is made before any row is formed, and g(0) is evaluated
+        when it can first pass.  Returns (coeffs, grid values, sups) of the
+        longest passing prefix, None if the first row fails; raises
+        NonContractionError if the first row's sup takes q to 1/2."""
+        tol = self.config.picard_tol
+        if self.config.order2 or not q * radius / (1.0 - q) <= tol:
+            return None  # fails whatever g(0) is
+        if self._g0 is None:
+            self._g0 = float(np.abs(self.g.fn(np.zeros(self.E.shape[1]))).max())
+        if not self._linear_bound(q, radius) <= tol:
+            return None
         if self.forcing.is_zero:
             Y = np.empty((len(terms) + 1, self.basis.modes))
             Y[0], Y[1:] = coeffs, self.decay
@@ -660,17 +659,16 @@ class Stepper:
         R = np.concatenate(([radius], S[:-1]))  # each row's incoming radius
         q = self.g.lipschitz(R) * self.gain
         q0 = np.where(S > R, self.g.lipschitz(S) * self.gain, q)  # q again at a raised radius
-        tol = self.config.picard_tol
         ok = ((q < 0.5) & (q0 < 0.5) & (self._linear_bound(q, R) <= tol)
               & (self._linear_bound(q0, S, self._flush_err) <= tol))
         n = len(ok) if ok.all() else int(np.argmin(ok))
-        return Y[:n], V[:n], S[:n]
+        return (Y[:n], V[:n], S[:n]) if n else None
 
     def step_frozen(self, coeffs, t):
         """Single application with the profile frozen at the incoming state."""
-        _, term = next(self.forcing_steps([t]))
+        _, terms = next(self.forcing_blocks([t]))
         gx = self.nonlinear(coeffs @ self.E)
-        return self.step_map(self.base(coeffs, term, gx), gx)
+        return self.step_map(self.base(coeffs, terms[0], gx), gx)
 
     def _check_contraction(self, t, radius, gain=None):
         """The factor L_R ``gain`` at ``radius`` (a block's gain if given), if
@@ -681,35 +679,15 @@ class Stepper:
         return factor
 
 
-def step_exponential(x, t, dt, nonlinearity, forcing=None, config=None, iterate=None):
-    """One application of the step map to ``x``, with the nonlinearity profile
-    ending at ``iterate`` (default: ``x`` itself, the zeroth Picard iterate).
-
-    At order one g is frozen at ``iterate``; with ``order2`` it runs linearly
-    from g(x) to g(iterate).  ``dt`` overrides the step length of ``config``.
-    """
-    config = SolverConfig(dt=dt) if config is None else replace(config, dt=dt)
+def step_picard(x, t, nonlinearity, forcing=None, config=None):
+    """One Picard-refined step of ``config.dt`` from the field ``x`` at t by
+    ``Stepper.step``; returns (field, refinements, distances), the moves of
+    the grid values, one per refinement: 0 or -1 refinements and no
+    distances for an accepted frozen or linear step."""
     stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    _, term = next(stepper.forcing_steps([t]))
-    gx = stepper.nonlinear(x.values)
-    gy = gx if iterate is None else stepper.nonlinear(iterate.values)
-    out = stepper.step_map(stepper.base(x.coeffs, term, gx), gy)
-    return Field(x.basis, coeffs=out)
-
-
-def step_picard(x, t, dt, nonlinearity, forcing=None, config=None,
-                collect_distances=False):
-    """Picard-refined step; returns (field, iterations[, distances]): 0 or -1
-    iterations and no distances for an accepted frozen or linear step.
-    ``dt`` overrides the step length of ``config``."""
-    config = SolverConfig(dt=dt) if config is None else replace(config, dt=dt)
-    stepper = Stepper(x.basis, nonlinearity, forcing, config)
-    distances = [] if collect_distances else None
-    Y, iterations, _, _ = stepper.step(x.coeffs, t, distances=distances)
-    out = Field(x.basis, coeffs=Y[0])
-    if collect_distances:
-        return out, iterations, distances
-    return out, iterations
+    distances = []
+    Y, refinements, _, _ = stepper.step(x.coeffs, t, distances=distances)
+    return Field(x.basis, coeffs=Y[0]), refinements, distances
 
 
 def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
@@ -737,28 +715,22 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     coeffs[0] = x0.coeffs
     values = x0.coeffs @ stepper.E
     sup = sup_trace[0] = float(np.abs(values).max())
-    blown_up = False
-    blowup_time = None
-    last = n_steps
     cap = config.blowup_cap
     j = 0  # the steps taken
     blocks = stepper.forcing_blocks(stamps[:-1], stamps[1:])
     for b0, (block_spiky, terms) in zip(range(0, n_steps, FORCING_BLOCK), blocks):
         spiky[b0:b0 + len(terms)] = block_spiky
-        while j < b0 + len(terms) and not blown_up:
+        while j < b0 + len(terms):
             Y, k, V, S = stepper.step(coeffs[j], stamps[j], terms[j - b0:], values, sup)
             m = len(S)
             coeffs[j + 1:j + 1 + m], sup_trace[j + 1:j + 1 + m], counts[j:j + m] = Y, S, k
             if max(S.tolist()) > cap:  # the march ends at the first row above the cap
-                blown_up, last = True, j + 1 + int(np.argmax(S > cap))
-                blowup_time = float(stamps[last])
+                n = j + 1 + int(np.argmax(S > cap))
+                return Trajectory(x0.basis, stamps[:n + 1], coeffs[:n + 1], sup_trace[:n + 1],
+                                  counts[:n], True, float(stamps[n]), spiky[:n])
             values, sup = V[-1], S[-1]
             j += m
-        if blown_up:
-            break
-    sl = slice(0, last + 1)
-    return Trajectory(x0.basis, stamps[sl], coeffs[sl], sup_trace[sl],
-                      counts[:last], blown_up, blowup_time, spiky[:last])
+    return Trajectory(x0.basis, stamps, coeffs, sup_trace, counts, spiky=spiky)
 
 
 # ---------------------------------------------------------------------------
@@ -880,10 +852,13 @@ def mild_residual(traj, i_from, i_to, nonlinearity, forcing=None, config=None):
     stepper = Stepper(traj.basis, nonlinearity, forcing, config)
     c = traj.coeffs[i_from]
     gx = stepper.nonlinear(c @ stepper.E)
-    for j, (_, term) in zip(range(i_from, i_to), stepper.forcing_steps(stamps[:-1], stamps[1:])):
-        gy = stepper.nonlinear(traj.coeffs[j + 1] @ stepper.E)
-        c = stepper.step_map(stepper.base(c, term, gx), gy)
-        gx = gy
+    j = i_from
+    for _, terms in stepper.forcing_blocks(stamps[:-1], stamps[1:]):
+        for term in terms:
+            j += 1
+            gy = stepper.nonlinear(traj.coeffs[j] @ stepper.E)
+            c = stepper.step_map(stepper.base(c, term, gx), gy)
+            gx = gy
     gap = (c - traj.coeffs[i_to]) @ stepper.E
     return float(np.max(np.abs(gap)))
 
@@ -959,7 +934,10 @@ def load_trajectory(outdir):
 
 
 def reference_initial_field(basis, profile="mode1", amplitude=1.0):
-    """Initial-data registry: ``mode<k>`` sine profiles or ``zero``."""
+    """Initial-data registry: ``mode<k>`` sine profiles or ``zero``, scaled
+    by a finite ``amplitude``."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"initial amplitude must be finite, got {amplitude!r}")
     if profile == "zero":
         return Field(basis, coeffs=np.zeros(basis.modes))
     m = re.fullmatch(r"mode(\d+)", profile)

@@ -36,8 +36,8 @@ class SpectralBasis:
     """
 
     def __init__(self, length=1.0, modes=16, grid=None):
-        if length <= 0:
-            raise ValueError("interval length must be positive")
+        if not 0 < length < np.inf:
+            raise ValueError(f"interval length must be positive and finite, got {length!r}")
         if modes < 1:
             raise ValueError("need at least one mode")
         grid = 4 * modes if grid is None else int(grid)

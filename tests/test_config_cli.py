@@ -175,6 +175,20 @@ def test_simulate_horizon_below_half_a_step_exits_one(tmp_path, capsys, monkeypa
     assert err.startswith("error:") and "half a step" in err
 
 
+@pytest.mark.parametrize("key, what", [("AALAB_BASIS__L", "interval length"),
+                                       ("AALAB_INITIAL__AMPLITUDE", "initial amplitude")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_length_or_amplitude(tmp_path, capsys, monkeypatch,
+                                                           key, what, value):
+    monkeypatch.setenv("AALAB_SOLVER__T", "0.01")
+    monkeypatch.setenv(key, value)
+    code, _, err = run_cli(["simulate", "--config", "decay", "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:") and f"{what} must be" in err and f"got {value}" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_simulate_manifest_records_save_clock(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AALAB_SOLVER__T", "0.05")
     out_dir = tmp_path / "d"

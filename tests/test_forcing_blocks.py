@@ -832,8 +832,17 @@ def test_step_map_bit_identical_per_dt(ref_basis):
         assert np.array_equal(got, expected)
 
 
+def step_map_at(stepper, x, t, iterate):
+    """The step map at the field ``x`` and t, g ending at the field
+    ``iterate``: ``base`` and ``step_map`` on the grid values the fields hold."""
+    _, terms = next(stepper.forcing_blocks([t]))
+    gx = stepper.nonlinear(x.values)
+    return stepper.step_map(stepper.base(x.coeffs, terms[0], gx),
+                            stepper.nonlinear(iterate.values))
+
+
 def check_single_steps(basis, forcing, t, order2):
-    """step_exponential, step_frozen and step against the test-local oracles."""
+    """The step map, step_frozen and step against the test-local oracles."""
     cubic = sv.make_nonlinearity("cubic")
     cfg = sv.SolverConfig(dt=1e-3, order2=order2)
     x = sv.reference_initial_field(basis, "mode1", 0.5)
@@ -842,10 +851,9 @@ def check_single_steps(basis, forcing, t, order2):
     _, term = oracle_forcing_step(stepper, t)
     base = np.exp(-basis.eigenvalues * 1e-3) * x.coeffs + term
     expected = oracle_step_map(basis, cubic, order2, base, 1e-3, x.values, x.values)
-    assert np.array_equal(sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg).coeffs, expected)
+    assert np.array_equal(step_map_at(stepper, x, t, x), expected)
     expected = oracle_step_map(basis, cubic, order2, base, 1e-3, x.values, y.values)
-    assert np.array_equal(
-        sv.step_exponential(x, t, 1e-3, cubic, forcing, cfg, iterate=y).coeffs, expected)
+    assert np.array_equal(step_map_at(stepper, x, t, y), expected)
     v = x.coeffs @ basis.eigenfunctions
     frozen = oracle_step_map(basis, cubic, order2, base, 1e-3, v, v)
     assert np.array_equal(stepper.step_frozen(x.coeffs, t), frozen)
@@ -1034,7 +1042,7 @@ def test_forcing_evaluated_once_per_block(ref_parts, monkeypatch):
                          sv.SolverConfig(dt=1e-3))
     n = 3 * sv.FORCING_BLOCK + 7
     stamps = 2.2 + 1e-3 * np.arange(n)
-    assert sum(1 for _ in stepper.forcing_steps(stamps)) == n
+    assert sum(len(terms) for _, terms in stepper.forcing_blocks(stamps)) == n
     # one breakpoint query per block, and each signal evaluated once per
     # block on all its node times, smooth or not
     assert evals == [4, 4]
@@ -1059,11 +1067,12 @@ def test_block_terms_equal_single_step_terms(ref_basis, forcings, mode):
     dt, stamps = window_stamps(mode)
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcings[mode],
                          sv.SolverConfig(dt=dt))
-    blocked = list(stepper.forcing_steps(stamps[:-1], stamps[1:]))
-    spiky = np.array([s for s, _ in blocked])
+    blocks = list(stepper.forcing_blocks(stamps[:-1], stamps[1:]))
+    spiky = np.concatenate([s for s, _ in blocks])
+    terms = np.concatenate([terms for _, terms in blocks])
     assert spiky.any()
-    for j, (s, term) in enumerate(blocked):
-        [(alone_s, alone)] = stepper.forcing_steps(stamps[j:j + 1], stamps[j + 1:j + 2])
+    for j, (s, term) in enumerate(zip(spiky, terms)):
+        [([alone_s], [alone])] = stepper.forcing_blocks(stamps[j:j + 1], stamps[j + 1:j + 2])
         assert s == alone_s
         assert np.array_equal(term, alone)
 
@@ -1090,7 +1099,8 @@ def test_terms_move_from_the_old_formula_within_rounding(ref_basis, forcings, mo
     forcing = forcings[mode]
     stepper = sv.Stepper(ref_basis, sv.make_nonlinearity("cubic"), forcing,
                          sv.SolverConfig(dt=dt))
-    for j, (_, term) in enumerate(stepper.forcing_steps(stamps[:-1], stamps[1:])):
+    blocks = stepper.forcing_blocks(stamps[:-1], stamps[1:])
+    for j, term in enumerate(np.concatenate([terms for _, terms in blocks])):
         rel, wts, _ = step_layout(stepper, stamps[j], stamps[j + 1])
         D = np.exp(-np.outer(ref_basis.eigenvalues, dt - rel))
         old = (D * forcing.mode_values(stamps[j] + rel)) @ wts

@@ -84,20 +84,38 @@ def test_growth_margin_below_lambda1(basis):
 
 def test_pure_semigroup_step(basis, cubic):
     x = sp.mode_field(basis, 1)
-    out = sv.step_exponential(x, 0.0, 1e-3, sv.make_nonlinearity("zero"))
+    out = sv.Stepper(basis, sv.make_nonlinearity("zero")).step_frozen(x.coeffs, 0.0)
     exact = np.exp(-basis.lambda1 * 1e-3)
-    assert out.coeffs[0] == pytest.approx(exact, rel=1e-13)
-    assert np.max(np.abs(out.coeffs[1:])) < 1e-15
+    assert out[0] == pytest.approx(exact, rel=1e-13)
+    assert np.max(np.abs(out[1:])) < 1e-15
+
+
+def test_single_steps_take_the_configured_step_length(basis):
+    """With g = 0 both single-step entries damp mode 1 by exactly
+    exp(-lambda_1 dt) at a dt other than the default, and leave the other
+    modes at 0.  The factor is taken from the eigenvalue array, as the
+    stepper takes it, so that the same exp loop rounds it."""
+    zero = sv.make_nonlinearity("zero")
+    cfg = sv.SolverConfig(dt=5e-4)
+    x = sp.mode_field(basis, 1)
+    exact = np.exp(-basis.eigenvalues * 5e-4)[0]
+    frozen = sv.Stepper(basis, zero, None, cfg).step_frozen(x.coeffs, 0.0)
+    refined, iterations, distances = sv.step_picard(x, 0.0, zero, config=cfg)
+    assert (iterations, distances) == (-1, [])
+    for out in (frozen, refined.coeffs):
+        assert out[0] == exact
+        assert not np.any(out[1:])
 
 
 def test_constant_forcing_one_step_closed_form(basis):
     c = 2.0
     forcing = sv.ForcingSpec.modulated(basis, constant_signal(c), sp.mode_field(basis, 1))
     zero_field = sp.Field(basis, coeffs=np.zeros(basis.modes))
-    out = sv.step_exponential(zero_field, 0.0, 1e-3, sv.make_nonlinearity("zero"), forcing)
+    stepper = sv.Stepper(basis, sv.make_nonlinearity("zero"), forcing)
+    out = stepper.step_frozen(zero_field.coeffs, 0.0)
     lam1 = basis.lambda1
     expected = (c / lam1) * (1.0 - np.exp(-lam1 * 1e-3))
-    assert out.coeffs[0] == pytest.approx(expected, rel=1e-12)
+    assert out[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_decay_run_matches_closed_form(basis):
@@ -270,14 +288,13 @@ def test_solve_evaluates_g_once_per_sweep_on_grid_vectors(basis, reference_forci
 
 def test_picard_zero_nonlinearity_single_iteration(basis, reference_forcing):
     x = sp.mode_field(basis, 1)
-    frozen = sv.step_exponential(x, 0.0, 1e-3, sv.make_nonlinearity("zero"),
-                                 reference_forcing)
-    refined, iterations = sv.step_picard(x, 0.0, 1e-3, sv.make_nonlinearity("zero"),
-                                         reference_forcing)
+    zero = sv.make_nonlinearity("zero")
+    frozen = sv.Stepper(basis, zero, reference_forcing).step_frozen(x.coeffs, 0.0)
+    refined, iterations, _ = sv.step_picard(x, 0.0, zero, reference_forcing)
     # g = 0 gives a contraction factor of 0 and no nonlinear term: the linear
     # step is the fixed point and is accepted without evaluating g
     assert iterations == -1
-    assert np.array_equal(refined.coeffs, frozen.coeffs)
+    assert np.array_equal(refined.coeffs, frozen)
 
 
 def test_linear_steps_evaluate_g_once_at_zero(basis):
@@ -299,10 +316,10 @@ def test_linear_step_bounds_the_nonlinear_term_by_g_at_zero(basis, g0, linear):
     within picard_tol, otherwise the frozen application is the fixed point."""
     g = sv.NonlinearitySpec("constant", lambda r: np.full(np.shape(r), g0), lambda R: 0.0)
     x = sv.reference_initial_field(basis, "mode1", 1e-9)
-    out, iterations = sv.step_picard(x, 0.0, 1e-3, g)
+    out, iterations, _ = sv.step_picard(x, 0.0, g)
     assert iterations == (-1 if linear else 0)
-    exact = sv.step_exponential(x, 0.0, 1e-3, g)
-    assert np.max(np.abs((out.coeffs - exact.coeffs) @ basis.eigenfunctions)) <= 1e-10
+    exact = sv.Stepper(basis, g).step_frozen(x.coeffs, 0.0)
+    assert np.max(np.abs((out.coeffs - exact) @ basis.eigenfunctions)) <= 1e-10
 
 
 def test_decayed_order1_march_flushes_subnormal_coefficients(ref_basis):
@@ -321,8 +338,7 @@ def test_decayed_order1_march_flushes_subnormal_coefficients(ref_basis):
 
 def test_picard_iteration_budget_and_geometric_decay(basis, cubic, reference_forcing):
     x = sv.reference_initial_field(basis, "mode1", 0.5)
-    out, iterations, dists = sv.step_picard(x, 0.0, 1e-3, cubic, reference_forcing,
-                                            collect_distances=True)
+    out, iterations, dists = sv.step_picard(x, 0.0, cubic, reference_forcing)
     assert iterations <= 5
     radius = max(x.sup_norm(), out.sup_norm())
     factor = cubic.lipschitz(radius) * 1e-3
@@ -341,7 +357,7 @@ def test_solver_config_rejects_empty_budgets(bad):
 def test_non_contraction_signalled(basis):
     x = sv.reference_initial_field(basis, "mode1", 50.0)
     with pytest.raises(sv.NonContractionError):
-        sv.step_picard(x, 0.0, 1e-3, sv.make_nonlinearity("cubic"))
+        sv.step_picard(x, 0.0, sv.make_nonlinearity("cubic"))
 
 
 def test_blowup_flag(basis):
@@ -703,6 +719,15 @@ def test_restrict_and_index(basis):
     assert part.stamps[0] == pytest.approx(0.25)
     assert part.stamps[-1] == pytest.approx(0.75)
     assert traj.index_at(0.5) == 50
+
+
+def test_index_at_outside_the_span_names_it(basis):
+    traj = sv.solve(sp.mode_field(basis, 1), sv.SolverConfig(dt=1e-2, horizon=1.0),
+                    sv.make_nonlinearity("zero"))
+    assert traj.index_at(1.0 + 1e-13) == 100 and traj.index_at(-1e-13) == 0
+    for t in (1.01, -0.01, 5.0):
+        with pytest.raises(ValueError, match=rf"t = {t:g} lies outside .* span \[0, 1\]"):
+            traj.index_at(t)
 
 
 def test_restrict_to_a_window_without_stamps_names_it(basis):
