@@ -7,18 +7,18 @@ Run:  python3 demos/01_signals_tour.py
 
 import numpy as np
 
-from aalab.signals import (BumpSpec, SpikeTrainSpec, SpikeTrainSignal,
-                           StepanovConfig, aa_translation_test,
-                           bochner_identity_residual, power_shift_ladder,
+from aalab.signals import (SpikeTrainSpec, SpikeTrainSignal, StepanovConfig,
+                           aa_translation_test, bochner_identity_residual,
+                           bump_integral, bump_value, power_shift_ladder,
                            reciprocal_sine_signal, resolve_signal,
                            sine_signal, sp_translation_distance,
                            sqrt2_shift_ladder, stepanov_norm)
 
-bump = BumpSpec()
+area = bump_integral()
 print("== the smooth bump ==")
-print(f"peak value at 0: {bump.peak}, support (-1/2, 1/2), area {bump.integral:.10f}")
+print(f"peak value at 0: {bump_value(0.0)}, support (-1/2, 1/2), area {area:.10f}")
 
-spec = SpikeTrainSpec(bump=bump, n_max=5)
+spec = SpikeTrainSpec(n_max=5)
 a = SpikeTrainSignal(spec)
 print("\n== the spike train ==")
 print("level n puts bumps of half-width 1/(2 n^2) on the odd multiples of 3^n;")
@@ -29,9 +29,9 @@ print("so sup over [0, 3^k] grows like k: pointwise unbounded.")
 
 cfg = StepanovConfig(p=1.0, t_min=0.0, t_max=100.0)
 norm = stepanov_norm(a, cfg)
-budget = (np.pi ** 2 / 6.0) * bump.integral
+budget = (np.pi ** 2 / 6.0) * area
 print(f"\nyet the windowed L1 norm stays finite: {norm:.6f}")
-print(f"(each unit window holds at most one level-n bump of area {bump.integral:.4f}/n^2;")
+print(f"(each unit window holds at most one level-n bump of area {area:.4f}/n^2;")
 print(f" the full budget is (pi^2/6) * area = {budget:.6f})")
 
 print("\n== recurrence under the shift ladder 2 * 3^m ==")
@@ -40,7 +40,7 @@ for m in (1, 2, 3):
     shift = 2.0 * 3.0 ** m
     worst = max(sp_translation_distance(a, a, shift, t, 1.0)
                 for t in (0.0, 2.5, 8.5, 26.5))
-    tail = 2.0 * bump.integral * (np.pi ** 2 / 6 - sum(1.0 / n ** 2 for n in range(1, m + 1)))
+    tail = 2.0 * area * (np.pi ** 2 / 6 - sum(1.0 / n ** 2 for n in range(1, m + 1)))
     print(f"  shift {shift:>5.0f}: worst window distance {worst:.6f} <= tail bound {tail:.6f}")
 
 report = aa_translation_test(a, power_shift_ladder(5), cfg, windows=[0.0, 2.5, 8.5])

@@ -20,8 +20,8 @@ cli
 
 __version__ = "0.1.0"
 
-from .signals import (BumpSpec, SampledSignal, Signal, SpikeTrainSpec,
-                      StepanovConfig, aa_translation_test, bochner_transform,
+from .signals import (SampledSignal, Signal, SpikeTrainSpec, StepanovConfig,
+                      aa_translation_test, bochner_transform, bump_integral,
                       bump_value, resolve_signal, sp_translation_distance,
                       spike_level_value, spike_train_value, stepanov_norm,
                       uniform_continuity_modulus)

@@ -138,8 +138,7 @@ def cmd_signal(args):
     else:
         ladder = np.array([float(tok) for tok in args.ladder.split(",")])
     windows = np.array([float(tok) for tok in args.windows.split(",")])
-    cfg = StepanovConfig(p=args.p, nodes=args.nodes, t_min=float(np.min(windows)),
-                         t_max=float(np.max(windows)), threshold=args.threshold)
+    cfg = StepanovConfig(p=args.p, nodes=args.nodes, threshold=args.threshold)
     report = aa_translation_test(sig, ladder, cfg, windows)
     rows = ["n,m,shift_n,shift_m,distance"]
     for n in range(len(ladder)):
@@ -242,16 +241,16 @@ def build_parser():
         p.add_argument("id", help="signal id: bump, beta, a, b, sin, const:<c>, sampled:<path>")
         p.add_argument("--nmax", type=int, default=6, help="spike-train level cutoff")
         p.add_argument("--level", type=int, default=1, help="level for the beta signal")
-        p.add_argument("--nodes", type=int, default=32)
         if name == "eval":
             p.add_argument("--t", required=True, help="time(s), comma separated")
-        if name == "norm":
+        else:
+            p.add_argument("--nodes", type=int, default=32)
             p.add_argument("--p", type=float, default=1.0)
+        if name == "norm":
             p.add_argument("--tmin", type=float, default=0.0)
             p.add_argument("--tmax", type=float, default=10.0)
             p.add_argument("--stride", type=float, default=0.125)
         if name == "aa-test":
-            p.add_argument("--p", type=float, default=1.0)
             p.add_argument("--ladder", default="pow3",
                            help="pow3, sqrt2, or comma-separated shifts")
             p.add_argument("--ladder-size", type=int, default=5)

@@ -355,8 +355,6 @@ def _functional(ident):
         return _sup_norms
     if ident == "energy-sup":
         return lambda traj: 0.5 * np.sum(traj.coeffs ** 2, axis=1)
-    if callable(ident):
-        return ident
     raise KeyError(f"unknown functional id {ident!r}")
 
 
@@ -388,7 +386,7 @@ class SubvariantReport:
         return "indistinguishable-minimal" if self.indistinguishable else "distinct"
 
 
-def minimal_solution_select(candidates, functional="sup-norm", gap_tolerance=1e-6):
+def minimal_solution_select(candidates, functional="sup-norm"):
     """Pick the subvariant minimizer among candidate trajectories.
 
     Ties go to the lowest index and are reported.  For the two best
@@ -396,7 +394,7 @@ def minimal_solution_select(candidates, functional="sup-norm", gap_tolerance=1e-
 
         c = inf_t 4 [ E(u)/2 + E(v)/2 - E((u + v)/2) ] = inf_t E(u - v)
 
-    is computed on shared stamps; c below tolerance means the two are
+    is computed on shared stamps; c at most 1e-6 means the two are
     operationally one minimal solution.
     """
     if not candidates:
@@ -415,8 +413,7 @@ def minimal_solution_select(candidates, functional="sup-norm", gap_tolerance=1e-
         mid = 0.5 * (u.coeffs[:n] + v.coeffs[:n])
         em = 0.5 * np.sum(mid ** 2, axis=1)
         gap = float(np.min(4.0 * (0.5 * eu + 0.5 * ev - em)))
-        indist = gap <= gap_tolerance
+        indist = gap <= 1e-6
     return SubvariantReport(
-        functional=functional if isinstance(functional, str) else "custom",
-        values=values, argmin=argmin, tied=tied,
+        functional=functional, values=values, argmin=argmin, tied=tied,
         parallelogram_gap=gap, indistinguishable=indist)

@@ -3,7 +3,8 @@
 A scenario file is plain text: one ``section.key = value`` per line, ``#``
 comments, blank lines ignored.  Every key can be overridden from the
 environment through the prefix ``AALAB_`` with the dot spelled as a double
-underscore (``AALAB_SOLVER__T=2.0`` overrides ``solver.T``).  The effective
+underscore (``AALAB_SOLVER__T=2.0`` overrides ``solver.T``); an ``AALAB_``
+variable that names no key is rejected, as an unknown file key is.  The effective
 key/value map is echoed verbatim into every output manifest so results stay
 reproducible from their artifacts alone.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 import os
 
-from .signals import BumpSpec, SpikeTrainSpec
+from .signals import SpikeTrainSpec
 from .solver import ForcingSpec, SolverConfig, make_nonlinearity, reference_initial_field
 from .spectral import SpectralBasis
 
@@ -64,11 +65,16 @@ def parse_config_text(text):
 
 
 def apply_env_overrides(values, environ=None):
+    """Override ``values`` from the ``AALAB_`` variables of ``environ``; a
+    variable that names no key is a ConfigError, as a file key is."""
     environ = os.environ if environ is None else environ
-    for key in list(values):
-        env_name = ENV_PREFIX + key.upper().replace(".", "__")
-        if env_name in environ:
-            values[key] = environ[env_name]
+    keys = {ENV_PREFIX + key.upper().replace(".", "__"): key for key in values}
+    for env_name in sorted(environ):
+        if not env_name.startswith(ENV_PREFIX):
+            continue
+        if env_name not in keys:
+            raise ConfigError(f"environment variable {env_name} names no config key")
+        values[keys[env_name]] = environ[env_name]
     return values
 
 
@@ -142,7 +148,7 @@ class Scenario:
         profile = reference_initial_field(basis, profile_id, 1.0)
         boundary = self.values["forcing.boundary"]
         if temporal == "reference":
-            spike = SpikeTrainSpec(bump=BumpSpec(), n_max=self._int("forcing.nmax"))
+            spike = SpikeTrainSpec(n_max=self._int("forcing.nmax"))
             return ForcingSpec.reference(basis, profile, spike, boundary_mode=boundary)
         if temporal.startswith("const:"):
             from .signals import constant_signal

@@ -4,9 +4,11 @@ The module provides:
 
 * a small signal framework (closed-form and sampled signals, both carrying
   the breakpoint sets their window quadratures must respect),
-* the spike-train construction ``a`` built from smooth bumps centered on the
-  lattices 3^n (2Z + 1): pointwise unbounded, yet bounded in every windowed
-  L^p sense,
+* the one fixed smooth bump ``bump_value`` (peak 1 at 0, support
+  (-1/2, 1/2)) and its area ``bump_integral``,
+* the spike-train construction ``a`` built from that bump, rescaled to
+  half-width 1/(2 n^2) on the lattices 3^n (2Z + 1): pointwise unbounded,
+  yet bounded in every windowed L^p sense,
 * the bounded oscillation ``b(t) = sin(1 / (2 + cos t + cos sqrt(2) t))``,
   which is continuous but not uniformly continuous,
 * Stepanov window norms, Bochner window transforms, translation distances,
@@ -15,8 +17,8 @@ The module provides:
 All evaluations are deterministic and signals are immutable once built.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache
 import math
 import warnings
 
@@ -58,41 +60,26 @@ def magnitude(values):
 # Bumps and spike trains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Smooth bump profile: nonnegative, peak at 0, support in (-1/2, 1/2).
-
-    The default shape is ``exp(1 - 1/(1 - 4 s^2))`` inside the support and 0
-    outside.  Its integral is computed once by quadrature and cached; peak
-    height, smoothness, and compact support are the properties everything
-    downstream relies on, so no unit-mass normalization is imposed.
-    """
-
-    shape: str = "smooth"
-    peak: float = 1.0
-
-    def __post_init__(self):
-        if self.shape != "smooth":
-            raise ValueError(f"unknown bump shape {self.shape!r}")
-        if self.peak <= 0:
-            raise ValueError("bump peak must be positive")
-
-    @cached_property
-    def integral(self):
-        """Area under the bump, from 96-node Gauss-Legendre per half-support."""
-        pts, wts = quadrature_nodes(-0.5, 0.5, breakpoints=[0.0], nodes=96)
-        return float(np.dot(wts, bump_value(self, pts)))
-
-
-def bump_value(spec, s):
-    """Evaluate the bump at ``s`` (scalar or array); exactly 0 for |s| >= 1/2."""
+def bump_value(s):
+    """The smooth bump ``exp(1 - 1/(1 - 4 s^2))`` at ``s`` (scalar or array):
+    nonnegative, 1 at 0, exactly 0 for |s| >= 1/2."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = np.abs(s) < 0.5
     si = s[inside]
     with np.errstate(over="ignore", divide="ignore"):
-        out[inside] = spec.peak * np.exp(1.0 - 1.0 / (1.0 - 4.0 * si * si))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * si * si))
     return out if out.ndim else float(out)
+
+
+@cache
+def bump_integral():
+    """Area under the bump, from 96-node Gauss-Legendre per half-support.
+
+    Peak height, smoothness and compact support are what everything
+    downstream relies on, so no unit-mass normalization is imposed."""
+    pts, wts = quadrature_nodes(-0.5, 0.5, breakpoints=[0.0], nodes=96)
+    return float(np.dot(wts, bump_value(pts)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,6 @@ class SpikeTrainSpec:
     until |t| reaches the first center of level n_max + 1.
     """
 
-    bump: BumpSpec = field(default_factory=BumpSpec)
     n_max: int = 6
 
     def __post_init__(self):
@@ -142,7 +128,7 @@ def level_breakpoints(level, lo, hi):
     return np.concatenate([centers - w, centers, centers + w])
 
 
-def spike_level_value(spec, level, t):
+def spike_level_value(level, t):
     """Evaluate one level of the train at ``t``.
 
     Bumps are located lazily: the only center that can contribute is the
@@ -154,8 +140,7 @@ def spike_level_value(spec, level, t):
     t = np.asarray(t, dtype=float)
     base = 3.0 ** level
     nearest = base * (2.0 * np.round((t / base - 1.0) / 2.0) + 1.0)
-    val = bump_value(spec.bump, level * level * (t - nearest))
-    return val
+    return bump_value(level * level * (t - nearest))
 
 
 def spike_train_value(spec, t):
@@ -170,7 +155,7 @@ def spike_train_value(spec, t):
         )
     out = np.zeros_like(t)
     for level in range(1, spec.n_max + 1):
-        out = out + spike_level_value(spec, level, t)
+        out = out + spike_level_value(level, t)
     return out if out.ndim else float(out)
 
 
@@ -201,7 +186,6 @@ class Signal:
     """
 
     name = "signal"
-    dim = 1
     span = (-np.inf, np.inf)
 
     def eval(self, t):
@@ -305,37 +289,32 @@ class SpikeTrainSignal(Signal):
 class SpikeLevelSignal(Signal):
     """A single level of the spike train (registry id ``beta``)."""
 
-    def __init__(self, level, spec=None):
-        self.spec = spec if spec is not None else SpikeTrainSpec()
+    def __init__(self, level):
         self.level = int(level)
         self.name = f"beta:{level}"
 
     def eval(self, t):
-        return spike_level_value(self.spec, self.level, t)
+        return spike_level_value(self.level, t)
 
     def breakpoints(self, lo, hi):
         return level_breakpoints(self.level, lo, hi)
 
 
-def bump_signal(spec=None):
+def bump_signal():
     """A single bump centered at 0 (registry id ``bump``)."""
-    spec = spec if spec is not None else BumpSpec()
-
     def edges(lo, hi):
         return np.array([-0.5, 0.0, 0.5])
 
-    return FunctionSignal(lambda t: bump_value(spec, t), name="bump", breakpoint_fn=edges)
+    return FunctionSignal(bump_value, name="bump", breakpoint_fn=edges)
 
 
-def sine_signal(frequency=1.0):
-    """sin(2 pi f t), with zero crossings reported as breakpoints."""
+def sine_signal():
+    """sin(2 pi t), with zero crossings reported as breakpoints."""
     def fn(t):
-        return np.sin(2.0 * np.pi * frequency * t)
+        return np.sin(2.0 * np.pi * t)
 
     def zeros(lo, hi):
-        half = 0.5 / frequency
-        k = np.arange(np.ceil(lo / half), np.floor(hi / half) + 1)
-        return k * half
+        return np.arange(np.ceil(2.0 * lo), np.floor(2.0 * hi) + 1) * 0.5
 
     return FunctionSignal(fn, name="sin", breakpoint_fn=zeros)
 
@@ -349,7 +328,7 @@ def reciprocal_sine_signal():
     return FunctionSignal(reciprocal_sine_value, name="b")
 
 
-def load_sampled_csv(path, name=None):
+def load_sampled_csv(path):
     """Load a two-column (t, value) CSV with strictly increasing t."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -367,7 +346,7 @@ def load_sampled_csv(path, name=None):
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: expected two numeric columns")
-    return SampledSignal(data[:, 0], data[:, 1], name=name or f"sampled:{path}")
+    return SampledSignal(data[:, 0], data[:, 1], name=f"sampled:{path}")
 
 
 def resolve_signal(ident, n_max=6, level=1):
@@ -379,7 +358,7 @@ def resolve_signal(ident, n_max=6, level=1):
     if ident == "bump":
         return bump_signal()
     if ident == "beta":
-        return SpikeLevelSignal(level, SpikeTrainSpec(n_max=max(level, 1)))
+        return SpikeLevelSignal(level)
     if ident == "a":
         return SpikeTrainSignal(SpikeTrainSpec(n_max=n_max))
     if ident == "b":
@@ -592,9 +571,9 @@ def aa_translation_test(f, ladder, cfg, windows):
                                  consistent=consistent, verdict=verdict)
 
 
-def power_shift_ladder(count=5, start=1):
-    """Default recurrence ladder for spike trains: shifts 2 * 3^m."""
-    return np.array([2.0 * 3.0 ** m for m in range(start, start + count)])
+def power_shift_ladder(count=5):
+    """Default recurrence ladder for spike trains: shifts 2 * 3^m, m = 1..count."""
+    return np.array([2.0 * 3.0 ** m for m in range(1, count + 1)])
 
 
 # Continued-fraction denominators of sqrt(2); 2*pi times these are
@@ -613,12 +592,12 @@ def sqrt2_shift_ladder(count=6):
 # Uniform continuity
 # ---------------------------------------------------------------------------
 
-def uniform_continuity_modulus(x, deltas, span=None, oversample=4):
+def uniform_continuity_modulus(x, deltas, span=None):
     """Table of (delta, omega(delta)) with omega the sampled modulus.
 
     omega(delta) is the largest value gap over sample pairs at time distance
     at most delta inside the span.  Closed-form signals are sampled at
-    min(deltas)/oversample; sampled signals use their own grid, and deltas
+    min(deltas)/4; sampled signals use their own grid, and deltas
     below twice the grid spacing are rejected.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))
@@ -636,7 +615,7 @@ def uniform_continuity_modulus(x, deltas, span=None, oversample=4):
         if span is None:
             raise ValueError("span is required for closed-form signals")
         lo, hi = float(span[0]), float(span[1])
-        spacing = deltas[0] / oversample
+        spacing = deltas[0] / 4
         times = np.arange(lo, hi + 0.5 * spacing, spacing)
         values = np.asarray(x.eval(times), dtype=float)
     if deltas[0] < 2.0 * spacing - 1e-12:

@@ -122,13 +122,13 @@ class NonlinearitySpec:
     def __call__(self, r):
         return self.fn(r)
 
-    def growth_margin(self, r_lo=1.0, r_hi=1e6, count=61):
+    def growth_margin(self):
         """Numerical stand-in for limsup of g(r)/r as |r| grows.
 
-        Maximum of g(r)/r over a log-spaced grid of both signs; compare the
-        result against lambda_1 of the operator.
+        Maximum of g(r)/r over 61 log-spaced radii from 1 to 1e6, of both
+        signs; compare the result against lambda_1 of the operator.
         """
-        r = np.logspace(np.log10(r_lo), np.log10(r_hi), count)
+        r = np.logspace(0.0, 6.0, 61)
         with np.errstate(over="ignore"):
             ratios = np.concatenate([self.fn(r) / r, self.fn(-r) / (-r)])
         ratios = ratios[np.isfinite(ratios)]
@@ -340,9 +340,9 @@ class Trajectory:
                           self.sup_trace[mask], counts,
                           self.blown_up, self.blowup_time, spiky)
 
-    def as_signal(self, name="trajectory"):
+    def as_signal(self):
         from .signals import SampledSignal
-        return SampledSignal(self.stamps, self.grid_values(), name=name)
+        return SampledSignal(self.stamps, self.grid_values(), name="trajectory")
 
 
 #: Below this lambda * dt the weight w2 is summed from its Taylor series; the
@@ -694,7 +694,8 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     """March the mild-solution stepper over [t0, t0 + horizon].
 
     The horizon is rounded to a whole number of steps of ``config.dt``; one
-    that rounds to none (below dt/2) raises ValueError.  Stops early with
+    that rounds to none (below dt/2) raises ValueError, and so does one
+    whose output arrays cannot be allocated.  Stops early with
     the blow-up flag set if the sup-norm trace exceeds the configured cap;
     that detector is a proxy for the maximal-solution alternative, not a
     statement about the continuum equation.  The forcing terms are read a
@@ -702,16 +703,22 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
     rest of the block; the first row it returns above the cap ends the
     march, and the rows after it are dropped.
     """
-    n_steps = int(round(config.horizon / config.dt))
-    if n_steps < 1:
+    steps = round(config.horizon / config.dt, 0)  # a float, inf if the ratio overflows
+    if steps < 1:
         raise ValueError(f"horizon {config.horizon:g} is less than half a step "
                          f"of dt = {config.dt:g}")
     stepper = Stepper(x0.basis, nonlinearity, forcing, config)
-    stamps = t0 + config.dt * np.arange(n_steps + 1)
-    coeffs = np.empty((n_steps + 1, x0.basis.modes))
-    sup_trace = np.empty(n_steps + 1)
-    counts = np.zeros(n_steps, dtype=int)
-    spiky = np.zeros(n_steps, dtype=bool)
+    try:
+        n_steps = int(steps)
+        stamps = t0 + config.dt * np.arange(n_steps + 1)
+        coeffs = np.empty((n_steps + 1, x0.basis.modes))
+        sup_trace = np.empty(n_steps + 1)
+        counts = np.zeros(n_steps, dtype=int)
+        spiky = np.zeros(n_steps, dtype=bool)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        need = 8.0 * (steps + 1) * (x0.basis.modes + 2) + 9.0 * steps
+        raise ValueError(f"n_steps = {steps:.6g} at dt = {config.dt:g} needs "
+                         f"{need:.3g} bytes of output arrays") from exc
     coeffs[0] = x0.coeffs
     values = x0.coeffs @ stepper.E
     sup = sup_trace[0] = float(np.abs(values).max())
@@ -737,19 +744,19 @@ def solve(x0, config, nonlinearity, forcing=None, t0=0.0):
 # Bounds and diagnostics
 # ---------------------------------------------------------------------------
 
-def global_bound_estimate(forcing, companion, p=1.0, scan=(0.0, 12.0),
-                          stride=0.125, nodes=32, M=1.0):
+def global_bound_estimate(forcing, companion, p=1.0, scan=(0.0, 12.0), M=1.0):
     """A-priori sup bound: companion sup plus the forcing tail term.
 
     ``companion`` is a zero-forcing run from the same initial data.  The
     forcing contribution is M e^{3 lambda1} / (e^{lambda1} - 1) times the
-    windowed L^p norm of t -> sup-norm of H(t), scanned over ``scan``.
+    windowed L^p norm of t -> sup-norm of H(t), scanned over ``scan`` at
+    the ``StepanovConfig`` stride and nodes.
     """
     sup_u = float(np.max(companion.sup_trace))
     if forcing is None or forcing.is_zero:
         return sup_u
     lam1 = forcing.basis.lambda1
-    cfg = StepanovConfig(p=p, nodes=nodes, t_min=scan[0], t_max=scan[1], stride=stride)
+    cfg = StepanovConfig(p=p, t_min=scan[0], t_max=scan[1])
     h_norm = stepanov_norm(forcing.sup_signal(), cfg)
     return sup_u + M * np.exp(3.0 * lam1) / (np.exp(lam1) - 1.0) * h_norm
 

@@ -116,7 +116,7 @@ def test_criterion_05_unbounded_but_stepanov_bounded():
         total = 0.0
         for level in range(1, spec.n_max + 1):
             for center in sg.level_centers(level, t - 1.0, t + 1.0):
-                total += sg.bump_value(spec.bump, level * level * (t - center))
+                total += sg.bump_value(level * level * (t - center))
         return total
 
     growth_ok = True
@@ -218,7 +218,7 @@ def test_criterion_10_minimality_structure(ref_parts, run_main, run_alt):
 
     u = u_full.restrict(0.0, 20.0)
     v = run_alt[0]
-    selection = cp.minimal_solution_select([u, v], "energy-sup", gap_tolerance=1e-6)
+    selection = cp.minimal_solution_select([u, v], "energy-sup")
     i_final = u.index_at(10.0)
     forgetting = float(np.max(np.abs(
         (u.coeffs[i_final:] - v.coeffs[i_final:]) @ basis.eigenfunctions)))

@@ -44,6 +44,17 @@ def test_unknown_key_rejected(tmp_path):
         cfgmod.load_scenario(str(path))
 
 
+def test_unknown_env_override_exits_one(tmp_path, capsys, monkeypatch):
+    """A misspelt override is rejected, not run on the defaults: the key is
+    ``solver.forcing_nodes``."""
+    monkeypatch.setenv("AALAB_FORCING__NODES", "0")
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(["simulate", "--config", "decay", "--out", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err == "config error: environment variable AALAB_FORCING__NODES names no config key\n"
+    assert not out_dir.exists()
+
+
 def test_env_override(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("basis.K = 8\nbasis.N = 32\n")
@@ -286,6 +297,7 @@ def test_simulate_missing_config_exit_one(capsys):
     ["simulate"],                                                  # missing --config
     ["simulate", "--config", "does-not-exist", "--threads", "2"],  # removed option
     ["diagnose", "compactness"],                                   # missing trajdir
+    ["signal", "eval", "a", "--t", "0", "--nodes", "8"],           # eval has no quadrature
 ])
 def test_usage_errors_exit_one(capsys, args):
     code, _, err = run_cli(args, capsys)
@@ -362,6 +374,25 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     for name in sorted(os.listdir(out_a / "snapshots")):
         assert (out_a / "snapshots" / name).read_bytes() == \
             (out_b / "snapshots" / name).read_bytes()
+
+
+def test_readme_signal_lines_print_their_values(capsys):
+    """Each README ``aalab signal`` line whose comment ends in a value prints
+    that value as the last field of its last line."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith("aalab signal ")]
+    values = []
+    for line in lines:
+        command, comment = line.split("#", 1)
+        value = comment.rsplit(":", 1)[-1].strip()
+        if not value.replace(".", "", 1).isdigit():
+            continue
+        code, out, err = run_cli(command.split()[1:], capsys)
+        assert code == 0, (command, err)
+        assert out.splitlines()[-1].split(",")[-1] == value, (command, out)
+        values.append(value)
+    assert values == ["3", "2", "0.955680337487423"]
 
 
 def test_readme_cli_sequence_on_reference(tmp_path, capsys, monkeypatch):

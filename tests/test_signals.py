@@ -12,11 +12,6 @@ I_H = 0.6034501612189382
 
 
 @pytest.fixture(scope="module")
-def bump():
-    return sg.BumpSpec()
-
-
-@pytest.fixture(scope="module")
 def spikes():
     return sg.SpikeTrainSpec(n_max=4)
 
@@ -25,23 +20,23 @@ def spikes():
 # bump and spike train values
 # ---------------------------------------------------------------------------
 
-def test_bump_peak_and_support(bump):
-    assert sg.bump_value(bump, 0.0) == 1.0
-    assert sg.bump_value(bump, 0.5) == 0.0
-    assert sg.bump_value(bump, -0.5) == 0.0
-    assert sg.bump_value(bump, 0.7) == 0.0
+def test_bump_peak_and_support():
+    assert sg.bump_value(0.0) == 1.0
+    assert sg.bump_value(0.5) == 0.0
+    assert sg.bump_value(-0.5) == 0.0
+    assert sg.bump_value(0.7) == 0.0
     s = np.linspace(-0.6, 0.6, 401)
-    vals = sg.bump_value(bump, s)
+    vals = sg.bump_value(s)
     assert np.all(vals >= 0.0)
     assert np.all(vals[np.abs(s) >= 0.5] == 0.0)
 
 
-def test_bump_integral_matches_adaptive_oracle(bump):
-    oracle, err = quad(lambda s: float(sg.bump_value(bump, np.float64(s))),
+def test_bump_integral_matches_adaptive_oracle():
+    oracle, err = quad(lambda s: float(sg.bump_value(np.float64(s))),
                        -0.5, 0.5, epsabs=1e-12, epsrel=1e-12, limit=200)
     assert err < 1e-10
     assert abs(oracle - I_H) < 1e-12
-    assert abs(bump.integral - oracle) < 1e-9
+    assert abs(sg.bump_integral() - oracle) < 1e-9
 
 
 def _brute_force_train(spec, t):
@@ -49,14 +44,14 @@ def _brute_force_train(spec, t):
     total = 0.0
     for level in range(1, spec.n_max + 1):
         for center in sg.level_centers(level, t - 1.0, t + 1.0):
-            total += sg.bump_value(spec.bump, level * level * (t - center))
+            total += sg.bump_value(level * level * (t - center))
     return total
 
 
-def test_spike_level_examples(spikes):
-    assert sg.spike_level_value(spikes, 1, 3.0) == 1.0
-    assert sg.spike_level_value(spikes, 2, 3.0) == 0.0
-    assert sg.spike_level_value(spikes, 1, 0.0) == 0.0
+def test_spike_level_examples():
+    assert sg.spike_level_value(1, 3.0) == 1.0
+    assert sg.spike_level_value(2, 3.0) == 0.0
+    assert sg.spike_level_value(1, 0.0) == 0.0
 
 
 def test_spike_train_examples(spikes):

@@ -488,6 +488,20 @@ def test_solve_rounds_the_horizon_to_whole_steps(basis, cubic, horizon, stamps):
         assert len(sv.solve(x0, cfg, cubic)) == stamps
 
 
+@pytest.mark.parametrize("horizon, steps, need", [(0.01, r"1e\+298", r"1\.53e\+300"),
+                                                 (1e10, "inf", "inf")])
+def test_solve_names_the_step_count_its_outputs_cannot_hold(basis, cubic, horizon, steps,
+                                                            need):
+    """dt = 1e-300 over 0.01 asks for 1e298 rows, which numpy refuses before
+    allocating anything, and over 1e10 for more steps than a float holds: the
+    error names the step count and the bytes, 8 (K + 2) per stamp and 9 per
+    step on 16 modes."""
+    x0 = sv.reference_initial_field(basis, "mode1", 0.5)
+    with pytest.raises(ValueError, match=f"^n_steps = {steps} at dt = 1e-300 needs {need} "
+                                         "bytes of output arrays$"):
+        sv.solve(x0, sv.SolverConfig(dt=1e-300, horizon=horizon), cubic)
+
+
 def test_mild_residual_small_on_solved_path(basis, cubic, reference_forcing):
     cfg = sv.SolverConfig(dt=1e-3, horizon=1.0)
     traj = sv.solve(sv.reference_initial_field(basis, "mode1", 0.5), cfg,
